@@ -24,13 +24,11 @@ from .errors import (
     SchemeFormatError,
 )
 from .fields import (
-    ElementSet,
     FieldSpec,
     FqMatrix,
     elementary_symmetric,
     extended_vandermonde,
     extended_vandermonde_subdet,
-    find_primitive_element,
     generalized_vandermonde_det,
     is_prime,
     next_prime,

@@ -52,6 +52,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, obj, text: str, out: str | None = None) -> None:
+    """Emit ``obj`` as JSON under --json, else ``text``."""
+    _emit(_dump(obj, args.pretty) if args.json else text, out)
+
+
 def _load_scheme(path: str) -> schemes.CoefficientScheme:
     try:
         obj = json.loads(Path(path).read_text())
@@ -89,10 +94,7 @@ def cmd_rates(args) -> int:
         v_range = range(args.V, args.V + 1)
         t_range = range(args.T, args.T + 1)
     rows = rates.rate_table(u_range, v_range, t_range)
-    if args.json:
-        _emit(_dump([r.to_json_obj() for r in rows], args.pretty), args.out)
-    else:
-        _emit(rates.rate_table_csv(rows), args.out)
+    _report(args, [r.to_json_obj() for r in rows], rates.rate_table_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -106,25 +108,18 @@ def cmd_build(args) -> int:
         scheme = schemes.build_scheme(cfg, q_hint=args.q)
     Path(args.out).write_text(schemes.scheme_to_json(scheme, pretty=args.pretty))
     gamma = scheme.params.gamma
-    if args.json:
-        print(
-            _dump(
-                {
-                    "out": args.out,
-                    "kind": scheme.kind,
-                    "q": scheme.field.q,
-                    "gamma": gamma,
-                    "n_source": scheme.n_source,
-                },
-                args.pretty,
-            ),
-            end="",
-        )
-    else:
-        print(
-            f"wrote {args.out} (kind={scheme.kind} q={scheme.field.q} "
-            f"gamma={gamma if gamma is not None else '-'} n_source={scheme.n_source})"
-        )
+    _report(
+        args,
+        {
+            "out": args.out,
+            "kind": scheme.kind,
+            "q": scheme.field.q,
+            "gamma": gamma,
+            "n_source": scheme.n_source,
+        },
+        f"wrote {args.out} (kind={scheme.kind} q={scheme.field.q} "
+        f"gamma={gamma if gamma is not None else '-'} n_source={scheme.n_source})\n",
+    )
     return EXIT_OK
 
 
@@ -137,31 +132,24 @@ def cmd_simulate(args) -> int:
         Path(args.transcript).write_text(
             _dump(protocol.transcript_to_json_obj(transcript, args.scheme), args.pretty)
         )
-    if args.json:
-        print(
-            _dump(
-                {
-                    "scheme": args.scheme,
-                    "L": args.L,
-                    "seed": args.seed,
-                    "decoded": list(transcript.decoded),
-                    "rates": {
-                        "R_X": observed.R_X,
-                        "R_Y": observed.R_Y,
-                        "R_Z": observed.R_Z,
-                        "R_Zsigma": observed.R_Z_sigma,
-                    },
-                },
-                args.pretty,
-            ),
-            end="",
-        )
-    else:
-        print(f"decoded_sum={list(transcript.decoded)}")
-        print(
-            f"rates R_X={observed.R_X} R_Y={observed.R_Y} "
-            f"R_Z={observed.R_Z} R_Zsigma={observed.R_Z_sigma}"
-        )
+    _report(
+        args,
+        {
+            "scheme": args.scheme,
+            "L": args.L,
+            "seed": args.seed,
+            "decoded": list(transcript.decoded),
+            "rates": {
+                "R_X": observed.R_X,
+                "R_Y": observed.R_Y,
+                "R_Z": observed.R_Z,
+                "R_Zsigma": observed.R_Z_sigma,
+            },
+        },
+        f"decoded_sum={list(transcript.decoded)}\n"
+        f"rates R_X={observed.R_X} R_Y={observed.R_Y} "
+        f"R_Z={observed.R_Z} R_Zsigma={observed.R_Z_sigma}\n",
+    )
     return EXIT_OK
 
 
@@ -200,24 +188,17 @@ def cmd_attack(args) -> int:
         transcript = protocol.run_round(scheme, inputs, keys)
         security.infeasibility_attack(scheme, transcript)
         successes += 1
-    if args.json:
-        print(
-            _dump(
-                {
-                    "scheme": args.scheme,
-                    "rounds": args.rounds,
-                    "successes": successes,
-                    "success_rate": successes / args.rounds if args.rounds else None,
-                },
-                args.pretty,
-            ),
-            end="",
-        )
-    else:
-        print(
-            f"recovered cluster-1 input sum in {successes}/{args.rounds} rounds "
-            f"(colluding with all {(scheme.cfg.U - 1) * scheme.cfg.V} inter-cluster users)"
-        )
+    _report(
+        args,
+        {
+            "scheme": args.scheme,
+            "rounds": args.rounds,
+            "successes": successes,
+            "success_rate": successes / args.rounds if args.rounds else None,
+        },
+        f"recovered cluster-1 input sum in {successes}/{args.rounds} rounds "
+        f"(colluding with all {(scheme.cfg.U - 1) * scheme.cfg.V} inter-cluster users)\n",
+    )
     return EXIT_OK
 
 
@@ -226,26 +207,19 @@ def cmd_compare(args) -> int:
     optimal = rates.optimal_source_rate(cfg)
     baseline = rates.baseline_source_rate(cfg)
     gap = baseline - optimal
-    if args.json:
-        print(
-            _dump(
-                {
-                    "U": cfg.U,
-                    "V": cfg.V,
-                    "T": cfg.T,
-                    "optimal_R_Zsigma": optimal,
-                    "baseline_R_Zsigma": baseline,
-                    "gap": gap,
-                },
-                args.pretty,
-            ),
-            end="",
-        )
-    else:
-        print(f"U={cfg.U} V={cfg.V} T={cfg.T}")
-        print(f"optimal_R_Zsigma={optimal}")
-        print(f"baseline_R_Zsigma={baseline}")
-        print(f"gap={gap}")
+    _report(
+        args,
+        {
+            "U": cfg.U,
+            "V": cfg.V,
+            "T": cfg.T,
+            "optimal_R_Zsigma": optimal,
+            "baseline_R_Zsigma": baseline,
+            "gap": gap,
+        },
+        f"U={cfg.U} V={cfg.V} T={cfg.T}\noptimal_R_Zsigma={optimal}\n"
+        f"baseline_R_Zsigma={baseline}\ngap={gap}\n",
+    )
     return EXIT_OK
 
 

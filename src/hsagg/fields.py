@@ -9,15 +9,14 @@ arguments and safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "FieldSpec",
     "FqMatrix",
-    "ElementSet",
     "is_prime",
     "next_prime",
-    "find_primitive_element",
+    "json_int",
     "vandermonde",
     "extended_vandermonde",
     "vandermonde_det",
@@ -26,12 +25,18 @@ __all__ = [
     "extended_vandermonde_subdet",
 ]
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes are a deterministic Miller-Rabin witness set below
+# psi_13, the smallest strong pseudoprime to all of them (Sorenson and
+# Webster, 2015).  The first 12 alone are fooled by psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Deterministic Miller-Rabin primality test; ValueError at n >= psi_13."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -62,120 +67,31 @@ def next_prime(n: int) -> int:
     return k
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-def find_primitive_element(q: int) -> int:
-    """Smallest residue g >= 2 whose multiplicative order mod q is q - 1.
-
-    For q = 2 the multiplicative group is trivial and 1 is returned.
-    """
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
-    if q == 2:
-        return 1
-    factors = _prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
-            return g
-    raise AssertionError("unreachable: every prime modulus has a primitive root")
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (booleans are not); ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A prime field F_q together with a generator of its multiplicative group."""
+    """The prime field F_q."""
 
     q: int
-    primitive_element: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
-        g = self.primitive_element
-        if not 0 <= g < self.q:
-            raise ValueError(f"primitive element {g} is not a canonical residue mod {self.q}")
-        if self.q == 2:
-            if g != 1:
-                raise ValueError("the multiplicative group of F_2 is generated by 1")
-            return
-        if g < 2 or any(pow(g, (self.q - 1) // p, self.q) == 1 for p in _prime_factors(self.q - 1)):
-            raise ValueError(f"{g} does not generate the multiplicative group of F_{self.q}")
 
     @classmethod
     def for_prime(cls, q: int) -> "FieldSpec":
-        """Field with the canonical (smallest) primitive element."""
-        return cls(q, find_primitive_element(q))
-
-    def canon(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; zero has none and signals a degenerate pivot."""
-        if a % self.q == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.q}")
-        return pow(a, -1, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e mod q; negative exponents require a to be invertible."""
-        if e < 0 and a % self.q == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.q}")
-        return pow(a, e, self.q)
+        return cls(q)
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         if len(xs) != len(ys):
             raise ValueError(f"dot product length mismatch: {len(xs)} vs {len(ys)}")
         return sum(x * y for x, y in zip(xs, ys)) % self.q
-
-
-@dataclass(frozen=True)
-class ElementSet:
-    """An ordered list of field residues used as Vandermonde nodes.
-
-    Duplicates are representable on purpose: several determinant identities
-    are exercised on degenerate node sets.  Constructions that require
-    distinct nodes must check :meth:`is_distinct`.
-    """
-
-    elements: tuple[int, ...]
-
-    @classmethod
-    def of(cls, xs) -> "ElementSet":
-        return cls(tuple(int(x) for x in xs))
-
-    def is_distinct(self) -> bool:
-        return len(set(self.elements)) == len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
 
 
 @dataclass(frozen=True)
@@ -208,10 +124,6 @@ class FqMatrix:
         flat = tuple(int(x) % field.q for r in rows for x in r)
         return cls(nrows, ncols, flat, field)
 
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "FqMatrix":
-        return cls.from_rows(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -230,12 +142,6 @@ class FqMatrix:
         return tuple(
             sum(self.entry(i, j) for i in range(self.rows)) % q for j in range(self.cols)
         )
-
-    def matvec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != column count {self.cols}")
-        q = self.field.q
-        return tuple(sum(a * b for a, b in zip(self.row(i), vec)) % q for i in range(self.rows))
 
     def rank(self) -> int:
         """Row rank via exact Gaussian elimination (first-nonzero pivoting)."""
@@ -296,11 +202,15 @@ class FqMatrix:
             q, rows, cols, data = obj["q"], obj["rows"], obj["cols"], obj["data"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"matrix document missing field: {exc}") from exc
+        q, rows, cols = json_int(q, "q"), json_int(rows, "rows"), json_int(cols, "cols")
+        if not isinstance(data, list):
+            raise ValueError(f"matrix data must be a JSON array, got {type(data).__name__}")
+        entries = tuple(json_int(x, "matrix entry") for x in data)
         if field is None:
             field = FieldSpec.for_prime(q)
         elif field.q != q:
             raise ValueError(f"matrix modulus {q} does not match field modulus {field.q}")
-        return cls(rows, cols, tuple(int(x) for x in data), field)
+        return cls(rows, cols, entries, field)
 
 
 def vandermonde(field: FieldSpec, xs: Sequence[int], n: int) -> FqMatrix:
@@ -318,7 +228,7 @@ def extended_vandermonde(field: FieldSpec, xs: Sequence[int], n: int) -> FqMatri
     result sum to the zero vector by construction.
     """
     vm = vandermonde(field, xs, n)
-    parity = tuple(field.neg(s) for s in vm.column_sums())
+    parity = [-s for s in vm.column_sums()]
     return FqMatrix.from_rows(field, [parity, *vm.row_list()])
 
 

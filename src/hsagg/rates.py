@@ -61,11 +61,6 @@ class HsaConfig:
         """All user labels (u, v) in lexicographic order."""
         return [(u, v) for u in range(1, self.U + 1) for v in range(1, self.V + 1)]
 
-    def cluster(self, u: int) -> list[tuple[int, int]]:
-        if not 1 <= u <= self.U:
-            raise ValueError(f"relay id {u} out of range [1, {self.U}]")
-        return [(u, v) for v in range(1, self.V + 1)]
-
 
 @dataclass(frozen=True)
 class RateRegion:

@@ -18,13 +18,18 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import CorrectnessViolation, InfeasibleConfiguration, SchemeFormatError
+from .errors import (
+    ConfigurationError,
+    CorrectnessViolation,
+    InfeasibleConfiguration,
+    SchemeFormatError,
+)
 from .fields import (
-    ElementSet,
     FieldSpec,
     FqMatrix,
     extended_vandermonde,
     extended_vandermonde_subdet,
+    json_int,
     next_prime,
 )
 from .rates import HsaConfig, optimal_source_rate
@@ -67,11 +72,11 @@ class SchemeParams:
     cfg: HsaConfig
     field: FieldSpec
     gamma: int | None
-    elements: ElementSet | None
+    elements: tuple[int, ...] | None
     n_source: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CoefficientScheme:
     """A coefficient matrix H plus the user -> row assignment."""
 
@@ -98,17 +103,6 @@ class CoefficientScheme:
 
     def has_zero_row_sum(self) -> bool:
         return all(s == 0 for s in self.H.column_sums())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoefficientScheme):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self.H == other.H
-            and self.row_index == other.row_index
-            and self.kind == other.kind
-            and self.insecure_by_construction == other.insecure_by_construction
-        )
 
     def to_json_obj(self) -> dict:
         cfg = self.cfg
@@ -138,7 +132,7 @@ class KeyMaterial:
     individual: dict[tuple[int, int], int]
 
 
-def build_elements(gamma: int, count: int, field: FieldSpec) -> ElementSet:
+def build_elements(gamma: int, count: int, field: FieldSpec) -> tuple[int, ...]:
     """Nodes x_0 = 0, x_i = gamma + gamma^2 + ... + gamma^i reduced mod q.
 
     Modular wraparound can collide nodes; callers reject such gammas.
@@ -151,10 +145,10 @@ def build_elements(gamma: int, count: int, field: FieldSpec) -> ElementSet:
     for i in range(1, count):
         step = step * gamma % q
         xs.append((xs[-1] + step) % q)
-    return ElementSet(tuple(xs))
+    return tuple(xs)
 
 
-def _parity_submatrices_nonsingular(field: FieldSpec, xs: ElementSet, n: int) -> bool:
+def _parity_submatrices_nonsingular(field: FieldSpec, xs: tuple[int, ...], n: int) -> bool:
     # Submatrices avoiding the parity row are Vandermonde minors, nonsingular
     # whenever the nodes are distinct; only parity-row submatrices need work.
     for idx in itertools.combinations(range(len(xs)), n - 1):
@@ -175,11 +169,19 @@ def search_gamma(cfg: HsaConfig, field: FieldSpec) -> int | None:
         return None
     for gamma in range(2, field.q):
         xs = build_elements(gamma, m, field)
-        if not xs.is_distinct():
+        if len(set(xs)) != len(xs):
             continue
         if _parity_submatrices_nonsingular(field, xs, n):
             return gamma
     return None
+
+
+def _first_prime(q_hint: int | None, default: int) -> int:
+    """Smallest prime >= q_hint, or >= default without a hint."""
+    try:
+        return next_prime(q_hint if q_hint is not None else default)
+    except ValueError as exc:  # the hint lies beyond the primality test's bound
+        raise ConfigurationError(str(exc)) from exc
 
 
 def _extended_row_index(cfg: HsaConfig) -> dict[tuple[int, int], int]:
@@ -205,7 +207,7 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
     if not cfg.feasible:
         raise InfeasibleConfiguration(cfg.U, cfg.V, cfg.T)
     n = optimal_source_rate(cfg)
-    q = next_prime(q_hint if q_hint is not None else cfg.n_users + 1)
+    q = _first_prime(q_hint, cfg.n_users + 1)
     while q <= _PRIME_SEARCH_LIMIT:
         field = FieldSpec.for_prime(q)
         gamma = search_gamma(cfg, field)
@@ -220,7 +222,7 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
 
 def _baseline_matrix(field: FieldSpec, n_users: int) -> FqMatrix:
     rows = [[1 if i == j else 0 for j in range(n_users - 1)] for i in range(n_users - 1)]
-    rows.append([field.neg(1)] * (n_users - 1))
+    rows.append([-1] * (n_users - 1))
     return FqMatrix.from_rows(field, rows)
 
 
@@ -237,7 +239,7 @@ def build_baseline(
     if infeasible and not force_infeasible:
         raise InfeasibleConfiguration(cfg.U, cfg.V, cfg.T)
     # Any prime works for this construction; default to the smallest odd one.
-    field = FieldSpec.for_prime(next_prime(q_hint if q_hint is not None else 3))
+    field = FieldSpec.for_prime(_first_prime(q_hint, 3))
     H = _baseline_matrix(field, cfg.n_users)
     row_index = {user: i for i, user in enumerate(cfg.users())}
     params = SchemeParams(cfg, field, None, None, cfg.n_users - 1)
@@ -278,10 +280,10 @@ def import_scheme(obj: dict) -> CoefficientScheme:
     if not isinstance(obj, dict):
         raise SchemeFormatError("scheme document must be a JSON object")
     try:
-        U, V, T, q = int(obj["U"]), int(obj["V"]), int(obj["T"]), int(obj["q"])
+        U, V, T, q = (json_int(obj[key], key) for key in ("U", "V", "T", "q"))
         h_obj = obj["H"]
         row_entries = obj["row_index"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SchemeFormatError(f"scheme document missing or malformed field: {exc}") from exc
 
     try:
@@ -302,7 +304,7 @@ def import_scheme(obj: dict) -> CoefficientScheme:
     for entry in row_entries:
         try:
             label, row = entry
-            row = int(row)
+            row = json_int(row, "row")
         except (TypeError, ValueError) as exc:
             raise SchemeFormatError(f"bad row_index entry {entry!r}") from exc
         user = _parse_user_label(label)
@@ -324,19 +326,18 @@ def import_scheme(obj: dict) -> CoefficientScheme:
         raise SchemeFormatError(f"unknown scheme kind {kind!r}")
 
     gamma = obj.get("gamma")
-    if gamma is not None:
-        try:
-            gamma = int(gamma)
-        except (TypeError, ValueError) as exc:
-            raise SchemeFormatError(f"bad gamma value {gamma!r}") from exc
-    elements_raw = obj.get("elements") or []
-    elements: ElementSet | None = None
+    if gamma is not None and type(gamma) is not int:
+        raise SchemeFormatError(f"bad gamma value {gamma!r}")
+    elements = None
 
     if kind == KIND_EXTENDED_VANDERMONDE:
         if gamma is None:
             raise SchemeFormatError("extended_vandermonde schemes must declare gamma")
-        elements = ElementSet.of(elements_raw)
-        if len(elements) != cfg.n_users - 1 or not elements.is_distinct():
+        elements_raw = obj.get("elements") or []
+        if not isinstance(elements_raw, list) or any(type(x) is not int for x in elements_raw):
+            raise SchemeFormatError("elements must be a JSON array of integers")
+        elements = tuple(elements_raw)
+        if len(elements) != cfg.n_users - 1 or len(set(elements)) != len(elements):
             raise SchemeFormatError("extended_vandermonde schemes need UV-1 distinct nodes")
         if elements != build_elements(gamma, cfg.n_users - 1, field):
             raise SchemeFormatError("nodes do not follow the declared gamma spacing")
@@ -352,11 +353,11 @@ def import_scheme(obj: dict) -> CoefficientScheme:
         if row_index != {user: i for i, user in enumerate(cfg.users())}:
             raise SchemeFormatError("baseline schemes use the natural row order")
 
+    insecure = obj.get("insecure_by_construction", False)
+    if type(insecure) is not bool:
+        raise SchemeFormatError("insecure_by_construction must be a JSON boolean")
     params = SchemeParams(cfg, field, gamma, elements, H.cols)
-    return CoefficientScheme(
-        params, H, row_index, kind,
-        insecure_by_construction=bool(obj.get("insecure_by_construction", False)),
-    )
+    return CoefficientScheme(params, H, row_index, kind, insecure_by_construction=insecure)
 
 
 def scheme_to_json(scheme: CoefficientScheme, pretty: bool = False) -> str:

@@ -1,9 +1,8 @@
 """Shared fixtures: golden schemes and independent test oracles.
 
 The oracles here deliberately avoid the library's elimination code paths:
-determinants expand by cofactors, rank enumerates square minors, and
-modular powers use an explicit square-and-multiply loop.  They are slow
-but independent, which is the point.
+determinants expand by cofactors and rank enumerates square minors.  They
+are slow but independent, which is the point.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import itertools
 
 import pytest
 
-from hsagg import FieldSpec
 from hsagg.schemes import CoefficientScheme, import_scheme
 
 # ---------------------------------------------------------------------------
@@ -46,29 +44,6 @@ def minor_rank(rows: list[list[int]], q: int) -> int:
                 if cofactor_det(sub, q) != 0:
                     return k
     return 0
-
-
-def square_and_multiply(a: int, e: int, q: int) -> int:
-    """Modular exponentiation oracle, independent of builtin pow."""
-    result = 1 % q
-    base = a % q
-    while e:
-        if e & 1:
-            result = result * base % q
-        base = base * base % q
-        e >>= 1
-    return result
-
-
-def multiplicative_order(a: int, q: int) -> int:
-    """Order of a in F_q* by direct enumeration."""
-    assert a % q != 0
-    value = a % q
-    for k in range(1, q):
-        if value == 1:
-            return k
-        value = value * a % q
-    raise AssertionError("element order not found")
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +93,8 @@ def golden_3x2_f17_obj() -> dict:
     entry is -5 mod 17 = 12).
     """
     q, g = 17, 3
-    field = FieldSpec.for_prime(q)
-    nodes = [0] + [field.pow(g, i) for i in range(1, 5)]
-    rows = [[field.pow(x, j) for j in range(4)] for x in nodes]
+    nodes = [0] + [pow(g, i, q) for i in range(1, 5)]
+    rows = [[pow(x, j, q) for j in range(4)] for x in nodes]
     parity = [(-sum(r[j] for r in rows)) % q for j in range(4)]
     rows.append(parity)
     return {

@@ -1,6 +1,10 @@
 """CLI behavior: output formats, file round-trips, exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +14,20 @@ from hsagg.schemes import import_scheme, scheme_to_json
 from conftest import golden_2x3_f3_obj, golden_3x2_f17_obj
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_process(argv, cwd, timeout):
+    """Run argv in a fresh interpreter that imports hsagg from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +121,16 @@ def test_build_json_output(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["q"] == 5 and payload["n_source"] == 3
     assert payload["kind"] == "extended_vandermonde"
+
+
+def test_build_q_beyond_primality_bound_exit_2(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run_cli(
+        "build", "--U", "2", "--V", "1", "--T", "0", "--q", str(4 * 10**24),
+        "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +234,29 @@ def test_audit_exact_cap_exit_6(golden_f17_file, capsys):
     ) == 6
 
 
+@pytest.mark.parametrize(
+    "q, entry, code",
+    [
+        # a safe prime: factoring q - 1 by trial division once hung the import
+        (200000000000000363, 1, 0),
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to bases 2..37
+        (318665857834031151167461, 399165290221, 4),
+        # psi_13, at the bound of the deterministic primality test
+        (3317044064679887385961981, 1, 4),
+    ],
+)
+def test_audit_hostile_modulus_fails_fast(tmp_path, q, entry, code):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({
+        "U": 2, "V": 1, "T": 0, "q": q,
+        "H": {"q": q, "rows": 2, "cols": 1, "data": [entry, q - entry]},
+        "row_index": [["1,1", 0], ["2,1", 1]],
+    }))
+    proc = run_process(["-m", "hsagg.cli", "audit", "--scheme", str(path)], tmp_path, 20)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("\n") == (code != 0)  # one error line, no traceback
+
+
 # ---------------------------------------------------------------------------
 # attack
 # ---------------------------------------------------------------------------
@@ -249,3 +298,17 @@ def test_compare_known_gaps(capsys):
 
 def test_compare_infeasible_exit_3(capsys):
     assert run_cli("compare", "--U", "2", "--V", "3", "--T", "3") == 3
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+# ---------------------------------------------------------------------------
+
+
+def test_bench_tracer_finds_every_wrapped_name(tmp_path):
+    # bench/tracer.py wraps library functions by name; deleting one breaks it.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"commands": []}))
+    tracer = ROOT / "bench" / "tracer.py"
+    proc = run_process([str(tracer), str(spec), str(tmp_path / "out.json")], tmp_path, 60)
+    assert proc.returncode == 0, proc.stderr

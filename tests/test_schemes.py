@@ -45,7 +45,7 @@ def test_build_elements_wraparound_stays_distinct():
     f7 = FieldSpec.for_prime(7)
     xs = build_elements(3, 4, f7)
     assert list(xs) == [0, 3, 5, 4]
-    assert xs.is_distinct()
+    assert len(set(xs)) == len(xs)
 
 
 def test_search_gamma_small_field():
@@ -244,6 +244,49 @@ def test_import_rejects_malformed_documents():
 
     obj = golden_2x3_f3_obj()
     obj["kind"] = "mystery"
+    with pytest.raises(SchemeFormatError):
+        import_scheme(obj)
+
+
+def _built_2x2_1_obj():
+    return json.loads(scheme_to_json(build_scheme(HsaConfig(2, 2, 1))))
+
+
+# (document, path to the value, replacement): each replacement is a JSON
+# value of the wrong type; none may be coerced.
+NON_INTEGER_VALUES = [
+    (golden_2x3_f3_obj, ("U",), 2.9),
+    (golden_2x3_f3_obj, ("V",), True),
+    (golden_2x3_f3_obj, ("T",), True),
+    (golden_2x3_f3_obj, ("q",), "3"),
+    (golden_2x3_f3_obj, ("gamma",), "2"),
+    (golden_2x3_f3_obj, ("insecure_by_construction",), "no"),
+    (golden_2x3_f3_obj, ("row_index", 0, 1), "0"),
+    (golden_2x3_f3_obj, ("H", "q"), 3.0),
+    (golden_2x3_f3_obj, ("H", "rows"), "6"),
+    (golden_2x3_f3_obj, ("H", "cols"), 4.0),
+    (golden_2x3_f3_obj, ("H", "data", 0), 1.4),
+    (golden_2x3_f3_obj, ("H", "data", 0), None),
+    (golden_2x3_f3_obj, ("H", "data", 0), True),
+    (golden_2x3_f3_obj, ("H", "data"), "1" * 24),
+    (_built_2x2_1_obj, ("gamma",), 2.0),
+    (_built_2x2_1_obj, ("elements", 0), "0"),
+    (_built_2x2_1_obj, ("elements",), "021"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, path, value",
+    NON_INTEGER_VALUES,
+    ids=[f"{'.'.join(map(str, path))}={value!r}" for _, path, value in NON_INTEGER_VALUES],
+)
+def test_import_rejects_non_integer_values(make, path, value):
+    obj = make()
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
     with pytest.raises(SchemeFormatError):
         import_scheme(obj)
 
