@@ -12,6 +12,7 @@ from .security import (
     RankViolation,
     audit,
     exact_independence_check,
+    exact_sweep,
     infeasibility_attack,
     relay_condition_matrix,
     server_condition_matrix,
@@ -46,7 +47,6 @@ from .protocol import (
 )
 from .rates import (
     HsaConfig,
-    RateRegion,
     RateRow,
     active_branch,
     baseline_source_rate,

@@ -14,14 +14,12 @@ process behavior:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import protocol, rates, schemes, security
-from .security import CollusionSet
 from .errors import (
     AuditBudgetExceeded,
     ConfigurationError,
@@ -153,27 +151,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _exact_sweep(scheme, cap: int) -> list[security.IndependenceVerdict]:
-    cfg = scheme.cfg
-    verdicts = []
-    for t in range(cfg.T + 1):
-        for combo in itertools.combinations(cfg.users(), t):
-            tset = CollusionSet(combo)
-            for u in range(1, cfg.U + 1):
-                verdicts.append(
-                    security.exact_independence_check(scheme, "relay", tset, relay=u, cap=cap)
-                )
-            verdicts.append(security.exact_independence_check(scheme, "server", tset, cap=cap))
-    return verdicts
-
-
 def cmd_audit(args) -> int:
     scheme = _load_scheme(args.scheme)
     report = security.audit(scheme, budget=args.budget)
     obj = report.to_json_obj()
     failed = not report.passed
     if args.exact:
-        verdicts = _exact_sweep(scheme, args.q_cap)
+        verdicts = security.exact_sweep(scheme, args.q_cap)
         obj["exact_checks"] = [v.to_json_obj() for v in verdicts]
         failed = failed or any(not v.passed for v in verdicts)
     print(_dump(obj, args.pretty), end="")

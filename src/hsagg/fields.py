@@ -143,16 +143,21 @@ class FqMatrix:
             sum(self.entry(i, j) for i in range(self.rows)) % q for j in range(self.cols)
         )
 
-    def rank(self) -> int:
-        """Row rank via exact Gaussian elimination (first-nonzero pivoting)."""
+    def _eliminate(self) -> tuple[int, int]:
+        """Gaussian elimination with first-nonzero pivoting, stopped once every
+        row holds a pivot: the rank and the product of the pivots signed by the
+        row swaps, which is the determinant of a square matrix of full rank."""
         q = self.field.q
         a = [list(self.row(i)) for i in range(self.rows)]
-        r = 0
+        r, product = 0, 1
         for c in range(self.cols):
             pivot = next((i for i in range(r, self.rows) if a[i][c]), None)
             if pivot is None:
                 continue
-            a[r], a[pivot] = a[pivot], a[r]
+            if pivot != r:
+                a[r], a[pivot] = a[pivot], a[r]
+                product = -product
+            product = product * a[r][c] % q
             inv = pow(a[r][c], -1, q)
             a[r] = [x * inv % q for x in a[r]]
             for i in range(r + 1, self.rows):
@@ -162,31 +167,18 @@ class FqMatrix:
             r += 1
             if r == self.rows:
                 break
-        return r
+        return r, product
+
+    def rank(self) -> int:
+        """Row rank via exact Gaussian elimination."""
+        return self._eliminate()[0]
 
     def det(self) -> int:
         """Exact determinant; the empty 0x0 matrix has determinant 1."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.rows}x{self.cols} matrix")
-        q = self.field.q
-        n = self.rows
-        a = [list(self.row(i)) for i in range(n)]
-        det = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if a[i][c]), None)
-            if pivot is None:
-                return 0
-            if pivot != c:
-                a[c], a[pivot] = a[pivot], a[c]
-                det = -det % q
-            det = det * a[c][c] % q
-            inv = pow(a[c][c], -1, q)
-            for i in range(c + 1, n):
-                f = a[i][c]
-                if f:
-                    factor = f * inv % q
-                    a[i] = [(x - factor * y) % q for x, y in zip(a[i], a[c])]
-        return det
+        r, product = self._eliminate()
+        return product if r == self.rows else 0
 
     def to_json_obj(self) -> dict:
         return {

@@ -13,14 +13,13 @@ source symbols regardless of T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError, InfeasibleConfiguration
 
 __all__ = [
     "HsaConfig",
-    "RateRegion",
     "RateRow",
     "optimal_rates",
     "optimal_source_rate",
@@ -63,14 +62,23 @@ class HsaConfig:
 
 
 @dataclass(frozen=True)
-class RateRegion:
-    """Feasibility plus the optimal rate quadruple (rates are None when empty)."""
+class RateRow:
+    """One rate-table row; every field after ``feasible`` is None when infeasible."""
 
+    U: int
+    V: int
+    T: int
     feasible: bool
     R_X: int | None = None
     R_Y: int | None = None
     R_Z: int | None = None
     R_Z_sigma: int | None = None
+    baseline: int | None = None
+    active_branch: str | None = None
+
+    def to_json_obj(self) -> dict:
+        """Fields in declaration order (the CSV columns); R_Z_sigma is keyed "R_Zsigma"."""
+        return {("R_Zsigma" if k == "R_Z_sigma" else k): v for k, v in asdict(self).items()}
 
 
 def optimal_source_rate(cfg: HsaConfig) -> int:
@@ -80,10 +88,14 @@ def optimal_source_rate(cfg: HsaConfig) -> int:
     return max(cfg.V + cfg.T, min(cfg.n_users - 1, cfg.U + cfg.T - 1))
 
 
-def optimal_rates(cfg: HsaConfig) -> RateRegion:
+def optimal_rates(cfg: HsaConfig) -> RateRow:
+    """The rate-table row of one configuration; infeasibility is flagged, not raised."""
     if not cfg.feasible:
-        return RateRegion(feasible=False)
-    return RateRegion(True, 1, 1, 1, optimal_source_rate(cfg))
+        return RateRow(cfg.U, cfg.V, cfg.T, False)
+    return RateRow(
+        cfg.U, cfg.V, cfg.T, True, 1, 1, 1,
+        optimal_source_rate(cfg), baseline_source_rate(cfg), active_branch(cfg),
+    )
 
 
 def baseline_source_rate(cfg: HsaConfig) -> int:
@@ -106,34 +118,6 @@ def active_branch(cfg: HsaConfig) -> str:
     return "U+T-1" if cfg.T <= cfg.U * (cfg.V - 1) else "UV-1"
 
 
-@dataclass(frozen=True)
-class RateRow:
-    U: int
-    V: int
-    T: int
-    feasible: bool
-    R_X: int | None
-    R_Y: int | None
-    R_Z: int | None
-    R_Z_sigma: int | None
-    baseline: int | None
-    active_branch: str | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "U": self.U,
-            "V": self.V,
-            "T": self.T,
-            "feasible": self.feasible,
-            "R_X": self.R_X,
-            "R_Y": self.R_Y,
-            "R_Z": self.R_Z,
-            "R_Zsigma": self.R_Z_sigma,
-            "baseline": self.baseline,
-            "active_branch": self.active_branch,
-        }
-
-
 def rate_table(
     U_range: Iterable[int], V_range: Iterable[int], T_range: Iterable[int]
 ) -> list[RateRow]:
@@ -141,23 +125,7 @@ def rate_table(
     us, vs, ts = list(U_range), list(V_range), list(T_range)
     if not us or not vs or not ts:
         raise ConfigurationError("rate table ranges must be nonempty")
-    rows = []
-    for u in us:
-        for v in vs:
-            for t in ts:
-                cfg = HsaConfig(u, v, t)
-                region = optimal_rates(cfg)
-                if region.feasible:
-                    rows.append(
-                        RateRow(
-                            u, v, t, True,
-                            region.R_X, region.R_Y, region.R_Z, region.R_Z_sigma,
-                            baseline_source_rate(cfg), active_branch(cfg),
-                        )
-                    )
-                else:
-                    rows.append(RateRow(u, v, t, False, None, None, None, None, None, None))
-    return rows
+    return [optimal_rates(HsaConfig(u, v, t)) for u in us for v in vs for t in ts]
 
 
 RATE_TABLE_HEADER = "U,V,T,feasible,R_X,R_Y,R_Z,R_Zsigma,baseline,active_branch"
@@ -165,18 +133,10 @@ RATE_TABLE_HEADER = "U,V,T,feasible,R_X,R_Y,R_Z,R_Zsigma,baseline,active_branch"
 
 def rate_table_csv(rows: Iterable[RateRow]) -> str:
     def cell(x) -> str:
+        if isinstance(x, bool):
+            return "true" if x else "false"
         return "" if x is None else str(x)
 
     lines = [RATE_TABLE_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.U), str(r.V), str(r.T),
-                    "true" if r.feasible else "false",
-                    cell(r.R_X), cell(r.R_Y), cell(r.R_Z), cell(r.R_Z_sigma),
-                    cell(r.baseline), cell(r.active_branch),
-                ]
-            )
-        )
+    lines.extend(",".join(cell(x) for x in r.to_json_obj().values()) for r in rows)
     return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import (
+    AuditBudgetExceeded,
     ConfigurationError,
     CorrectnessViolation,
     InfeasibleConfiguration,
@@ -55,8 +56,8 @@ KIND_BASELINE = "baseline"
 KIND_EXTERNAL = "external"
 _KINDS = (KIND_EXTENDED_VANDERMONDE, KIND_BASELINE, KIND_EXTERNAL)
 
-# The gamma search provably succeeds for large enough q; this cap only
-# guards against runaway loops on malformed inputs.
+# The gamma search provably succeeds for large enough q; this cap bounds
+# the prime search, and a search that reaches it is refused as over budget.
 _PRIME_SEARCH_LIMIT = 10**6
 
 
@@ -217,7 +218,9 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
             params = SchemeParams(cfg, field, gamma, elements, n)
             return CoefficientScheme(params, H, _extended_row_index(cfg), KIND_EXTENDED_VANDERMONDE)
         q = next_prime(q + 1)
-    raise RuntimeError(f"no certifying (q, gamma) found below q = {_PRIME_SEARCH_LIMIT}")
+    raise AuditBudgetExceeded(
+        f"no certifying (q, gamma) with q up to the prime search limit {_PRIME_SEARCH_LIMIT}"
+    )
 
 
 def _baseline_matrix(field: FieldSpec, n_users: int) -> FqMatrix:
@@ -263,11 +266,15 @@ def derive_keys(scheme: CoefficientScheme, source) -> KeyMaterial:
 
 
 def _parse_user_label(label: str) -> tuple[int, int]:
+    """(u, v) from the canonical label "u,v"; signs, spaces and leading zeros are rejected."""
     try:
         u, v = label.split(",")
-        return int(u), int(v)
+        user = int(u), int(v)
     except (ValueError, AttributeError) as exc:
         raise SchemeFormatError(f"bad user label {label!r}, expected 'u,v'") from exc
+    if label != f"{user[0]},{user[1]}":
+        raise SchemeFormatError(f"bad user label {label!r}, expected 'u,v'")
+    return user
 
 
 def import_scheme(obj: dict) -> CoefficientScheme:

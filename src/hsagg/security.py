@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .errors import AuditBudgetExceeded, CorrectnessViolation
 from .fields import FqMatrix
 from .protocol import RoundTranscript
+from .rates import HsaConfig
 from .schemes import CoefficientScheme
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "server_condition_matrix",
     "audit",
     "exact_independence_check",
+    "exact_sweep",
     "infeasibility_attack",
     "DEFAULT_RANK_BUDGET",
     "DEFAULT_ENUMERATION_CAP",
@@ -173,6 +175,23 @@ class AuditReport:
         }
 
 
+def _set_sizes(cfg: HsaConfig) -> range:
+    """Collusion set sizes to check: 0..T, capped at UV since no larger set exists."""
+    return range(min(cfg.T, cfg.n_users) + 1)
+
+
+def _checks(cfg: HsaConfig):
+    """Yield (collusion set, relay) per check: sets by size, then lexicographic;
+    per set, relays 1..U and then the server as ``relay=None``."""
+    users = cfg.users()
+    for t in _set_sizes(cfg):
+        for combo in itertools.combinations(users, t):
+            tset = CollusionSet(combo)
+            for relay in range(1, cfg.U + 1):
+                yield tset, relay
+            yield tset, None
+
+
 def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:
     """Exhaustive rank audit over every collusion set of size at most T.
 
@@ -180,29 +199,20 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
     reports are identical across runs.
     """
     cfg = scheme.cfg
-    users = cfg.users()
-    planned = (cfg.U + 1) * sum(math.comb(cfg.n_users, t) for t in range(cfg.T + 1))
-    if planned > budget:
-        raise AuditBudgetExceeded(
-            f"audit needs {planned} rank checks, budget is {budget}"
-        )
+    checks = (cfg.U + 1) * sum(math.comb(cfg.n_users, t) for t in _set_sizes(cfg))
+    if checks > budget:
+        raise AuditBudgetExceeded(f"audit needs {checks} rank checks, budget is {budget}")
 
     violations: list[RankViolation] = []
-    checks = 0
-    for t in range(cfg.T + 1):
-        for combo in itertools.combinations(users, t):
-            tset = CollusionSet(combo)
-            for u in range(1, cfg.U + 1):
-                m = relay_condition_matrix(scheme, u, tset)
-                checks += 1
-                r = m.rank()
-                if r < m.rows:
-                    violations.append(RankViolation("relay", u, tset, r, m.rows))
+    for tset, relay in _checks(cfg):
+        if relay is None:
             m = server_condition_matrix(scheme, tset)
-            checks += 1
-            r = m.rank()
-            if r < m.rows:
-                violations.append(RankViolation("server", None, tset, r, m.rows))
+        else:
+            m = relay_condition_matrix(scheme, relay, tset)
+        r = m.rank()
+        if r < m.rows:
+            kind = "server" if relay is None else "relay"
+            violations.append(RankViolation(kind, relay, tset, r, m.rows))
 
     violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
     return AuditReport(
@@ -329,6 +339,18 @@ def exact_independence_check(
                         witness=(c, a, b, joint, count_c, ac, bc),
                     )
     return IndependenceVerdict(True, mode, relay, tset, total)
+
+
+def exact_sweep(
+    scheme: CoefficientScheme, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[IndependenceVerdict]:
+    """The exact oracle on every check the rank audit makes, in the audit's order."""
+    return [
+        exact_independence_check(
+            scheme, "server" if relay is None else "relay", tset, relay=relay, cap=cap
+        )
+        for tset, relay in _checks(scheme.cfg)
+    ]
 
 
 def infeasibility_attack(

@@ -133,6 +133,16 @@ def test_build_q_beyond_primality_bound_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_q_beyond_prime_search_limit_exit_6(tmp_path, capsys):
+    # a prime above the build's prime-search limit leaves nothing to search
+    out = tmp_path / "s.json"
+    assert run_cli(
+        "build", "--U", "2", "--V", "2", "--T", "1", "--q", "1000003", "--out", str(out)
+    ) == 6
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -255,6 +265,22 @@ def test_audit_hostile_modulus_fails_fast(tmp_path, q, entry, code):
     proc = run_process(["-m", "hsagg.cli", "audit", "--scheme", str(path)], tmp_path, 20)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.count("\n") == (code != 0)  # one error line, no traceback
+
+
+def test_audit_hostile_collusion_budget_fails_fast(tmp_path):
+    # no collusion set exceeds the UV users, so T = 10**15 audits as T = UV
+    stdout = {}
+    for T in (10**15, 2):
+        path = tmp_path / f"T{T}.json"
+        path.write_text(json.dumps({
+            "U": 2, "V": 1, "T": T, "q": 5,
+            "H": {"q": 5, "rows": 2, "cols": 1, "data": [1, 4]},
+            "row_index": [["1,1", 0], ["2,1", 1]],
+        }))
+        proc = run_process(["-m", "hsagg.cli", "audit", "--scheme", str(path)], tmp_path, 20)
+        assert proc.returncode == 5, proc.stderr
+        stdout[T] = proc.stdout
+    assert stdout[10**15] == stdout[2]
 
 
 # ---------------------------------------------------------------------------

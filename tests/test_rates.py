@@ -114,6 +114,8 @@ def test_rate_table_csv_format():
     text = rate_table_csv(rate_table([2], [3], [1, 3]))
     lines = text.strip().split("\n")
     assert lines[0] == "U,V,T,feasible,R_X,R_Y,R_Z,R_Zsigma,baseline,active_branch"
+    # the header names the JSON keys of a row, in column order
+    assert lines[0].split(",") == list(rate_table([2], [3], [1])[0].to_json_obj())
     assert lines[1] == "2,3,1,true,1,1,1,4,5,V+T"
     assert lines[2] == "2,3,3,false,,,,,,"
 

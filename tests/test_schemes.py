@@ -291,6 +291,14 @@ def test_import_rejects_non_integer_values(make, path, value):
         import_scheme(obj)
 
 
+@pytest.mark.parametrize("label", ["+1,1", " 1,1", "01,1", "1, 1", "1,1 ", "1,+1", "0_1,1"])
+def test_import_rejects_non_canonical_user_labels(label):
+    obj = golden_2x3_f3_obj()
+    obj["row_index"][0][0] = label
+    with pytest.raises(SchemeFormatError):
+        import_scheme(obj)
+
+
 def test_import_validates_declared_construction():
     scheme = build_scheme(HsaConfig(2, 2, 1))
     obj = json.loads(scheme_to_json(scheme))
