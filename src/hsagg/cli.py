@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="additionally run the brute-force independence oracle")
     p.add_argument("--q-cap", type=int, default=security.DEFAULT_ENUMERATION_CAP,
-                   help="tuple cap for the exact oracle")
+                   help="cap on the exact oracle's whole sweep: checks x q^(UV+n) tuples")
     p.add_argument("--budget", type=int, default=security.DEFAULT_RANK_BUDGET,
                    help="rank-check cap for the audit")
     p.add_argument("--pretty", action="store_true")

@@ -267,7 +267,9 @@ def extended_vandermonde_subdet(field: FieldSpec, xs: Sequence[int], indices: Se
         (-1)^n * V(xs[I]) * sum_{i not in I} prod_{j in I} (x_i - x_j)
 
     evaluated without any elimination, so it can serve as one side of a
-    dual-route check against :meth:`FqMatrix.det`.
+    dual-route check against :meth:`FqMatrix.det`.  The build search does
+    not call it: it certifies by the power-sum walk in ``hsagg.schemes``,
+    and the tests check that walk against this closed form.
     """
     m = len(xs)
     idx = sorted(indices)

@@ -14,7 +14,6 @@ first, then smallest valid gamma.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .fields import (
     FieldSpec,
     FqMatrix,
     extended_vandermonde,
-    extended_vandermonde_subdet,
+    extended_vandermonde_subdet,  # noqa: F401  bench/tracer.py wraps this name here
     json_int,
     next_prime,
 )
@@ -59,6 +58,9 @@ _KINDS = (KIND_EXTENDED_VANDERMONDE, KIND_BASELINE, KIND_EXTERNAL)
 # The gamma search provably succeeds for large enough q; this cap bounds
 # the prime search, and a search that reaches it is refused as over budget.
 _PRIME_SEARCH_LIMIT = 10**6
+# Each (q, gamma) candidate certifies C(UV - 1, n - 1) parity-row minors; a
+# configuration needing more is refused before the search starts.
+_MINOR_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -150,12 +152,41 @@ def build_elements(gamma: int, count: int, field: FieldSpec) -> tuple[int, ...]:
 
 
 def _parity_submatrices_nonsingular(field: FieldSpec, xs: tuple[int, ...], n: int) -> bool:
-    # Submatrices avoiding the parity row are Vandermonde minors, nonsingular
-    # whenever the nodes are distinct; only parity-row submatrices need work.
-    for idx in itertools.combinations(range(len(xs)), n - 1):
-        if extended_vandermonde_subdet(field, xs, idx) == 0:
-            return False
-    return True
+    """Whether every n x n parity-row submatrix of extended_vandermonde(xs, n)
+    is nonsingular; the nodes xs must be distinct.
+
+    Submatrices avoiding the parity row are Vandermonde minors, nonsingular
+    whenever the nodes are distinct, so only parity-row submatrices need
+    work.  The one on the nodes I (|I| = n - 1) is +-V(x_I) * S(I) with
+    V(x_I) != 0 and S(I) = sum_i P_I(x_i), P_I(x) = prod_{j in I} (x - x_j);
+    terms with i in I vanish, so the sum may run over all nodes.  The walk
+    chooses I depth-first in ascending order and carries the moments
+    M_t(P) = sum_i x_i^t * P(x_i) of the chosen prefix's polynomial P.
+    Appending node j maps them to M_t(P * (x - x_j)) = M_{t+1}(P) - x_j * M_t(P),
+    so the root holds the power sums p_t = M_t(1) for t < n, each level
+    drops one moment, and a leaf S(I) = M_0(P_I) costs one multiply.
+    """
+    q, m = field.q, len(xs)
+    sums, powers = [], [1] * m
+    for _ in range(n):
+        sums.append(sum(powers) % q)
+        powers = [p * x % q for p, x in zip(powers, xs)]
+
+    def nonzero_below(moments: list[int], start: int) -> bool:
+        if len(moments) == 2:
+            m0, m1 = moments
+            for j in range(start, m):
+                if (m1 - xs[j] * m0) % q == 0:
+                    return False
+            return True
+        for j in range(start, m - len(moments) + 2):
+            x = xs[j]
+            child = [(moments[t + 1] - x * moments[t]) % q for t in range(len(moments) - 1)]
+            if not nonzero_below(child, j + 1):
+                return False
+        return True
+
+    return sums[0] != 0 if n == 1 else nonzero_below(sums, 0)
 
 
 def search_gamma(cfg: HsaConfig, field: FieldSpec) -> int | None:
@@ -203,11 +234,21 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
 
     The prime search starts at q_hint (rounded up to a prime) or at the
     smallest prime >= UV + 1, advancing to the next prime whenever no gamma
-    certifies in the current field.
+    certifies in the current field.  Raises AuditBudgetExceeded when one
+    certificate needs more than _MINOR_LIMIT minors or no (q, gamma) with
+    q <= _PRIME_SEARCH_LIMIT certifies.
     """
     if not cfg.feasible:
         raise InfeasibleConfiguration(cfg.U, cfg.V, cfg.T)
     n = optimal_source_rate(cfg)
+    m, r = cfg.n_users - 1, n - 1
+    minors = 1  # C(m, i) grows with i up to min(r, m - r): stop once past the limit
+    for i in range(min(r, m - r)):
+        minors = minors * (m - i) // (i + 1)
+        if minors > _MINOR_LIMIT:
+            raise AuditBudgetExceeded(
+                f"the MDS certificate needs C({m}, {r}) > {_MINOR_LIMIT} minors per (q, gamma)"
+            )
     q = _first_prime(q_hint, cfg.n_users + 1)
     while q <= _PRIME_SEARCH_LIMIT:
         field = FieldSpec.for_prime(q)

@@ -192,6 +192,11 @@ def _checks(cfg: HsaConfig):
             yield tset, None
 
 
+def _planned_checks(cfg: HsaConfig) -> int:
+    """Number of checks ``_checks(cfg)`` yields: U + 1 per collusion set."""
+    return (cfg.U + 1) * sum(math.comb(cfg.n_users, t) for t in _set_sizes(cfg))
+
+
 def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:
     """Exhaustive rank audit over every collusion set of size at most T.
 
@@ -199,7 +204,7 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
     reports are identical across runs.
     """
     cfg = scheme.cfg
-    checks = (cfg.U + 1) * sum(math.comb(cfg.n_users, t) for t in _set_sizes(cfg))
+    checks = _planned_checks(cfg)
     if checks > budget:
         raise AuditBudgetExceeded(f"audit needs {checks} rank checks, budget is {budget}")
 
@@ -344,7 +349,19 @@ def exact_independence_check(
 def exact_sweep(
     scheme: CoefficientScheme, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[IndependenceVerdict]:
-    """The exact oracle on every check the rank audit makes, in the audit's order."""
+    """The exact oracle on every check the rank audit makes, in the audit's order.
+
+    ``cap`` bounds the whole sweep: when the planned checks times the
+    q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised before
+    anything is enumerated.
+    """
+    checks = _planned_checks(scheme.cfg)
+    tuples = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
+    if checks * tuples > cap:
+        raise AuditBudgetExceeded(
+            f"exact sweep needs {checks} checks of {tuples} tuples, cap is {cap}; "
+            "refusing to sample"
+        )
     return [
         exact_independence_check(
             scheme, "server" if relay is None else "relay", tset, relay=relay, cap=cap

@@ -133,6 +133,18 @@ def test_build_q_beyond_primality_bound_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_minor_limit_exit_6(tmp_path):
+    # C(99, 59) ~ 8.2e27 parity-row minors per (q, gamma): refused before the search
+    out = tmp_path / "s.json"
+    proc = run_process(
+        ["-m", "hsagg.cli", "build", "--U", "10", "--V", "10", "--T", "50", "--out", str(out)],
+        tmp_path, 20,
+    )
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "minors" in proc.stderr
+    assert not out.exists()
+
+
 def test_build_q_beyond_prime_search_limit_exit_6(tmp_path, capsys):
     # a prime above the build's prime-search limit leaves nothing to search
     out = tmp_path / "s.json"
@@ -242,6 +254,34 @@ def test_audit_exact_cap_exit_6(golden_f17_file, capsys):
     assert run_cli(
         "audit", "--scheme", golden_f17_file, "--exact", "--q-cap", "1000"
     ) == 6
+
+
+def test_audit_exact_whole_sweep_budget_exit_6(tmp_path):
+    # 12,285 checks of 2^13 tuples each: every check fits the cap, the sweep does not
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "U": 2, "V": 6, "T": 11, "q": 2,
+        "H": {"q": 2, "rows": 12, "cols": 1, "data": [1] * 12},
+        "row_index": [[f"{u},{v}", 6 * (u - 1) + v - 1] for u in (1, 2) for v in range(1, 7)],
+    }))
+    proc = run_process(["-m", "hsagg.cli", "audit", "--scheme", str(path), "--exact"],
+                       tmp_path, 20)
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "exact sweep" in proc.stderr
+
+
+@pytest.mark.parametrize("rows, cols", [(10**9, 10**9), (2, 2 * 10**12)])
+def test_audit_oversized_matrix_fails_fast(tmp_path, rows, cols):
+    # the declared shape is checked against the data before anything is allocated
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({
+        "U": 2, "V": 1, "T": 0, "q": 5,
+        "H": {"q": 5, "rows": rows, "cols": cols, "data": [1, 4]},
+        "row_index": [["1,1", 0], ["2,1", 1]],
+    }))
+    proc = run_process(["-m", "hsagg.cli", "audit", "--scheme", str(path)], tmp_path, 20)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "matrix needs" in proc.stderr
 
 
 @pytest.mark.parametrize(

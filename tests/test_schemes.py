@@ -11,9 +11,10 @@ from hsagg.errors import (
     InfeasibleConfiguration,
     SchemeFormatError,
 )
-from hsagg.fields import FieldSpec, extended_vandermonde
+from hsagg.fields import FieldSpec, extended_vandermonde, extended_vandermonde_subdet
 from hsagg.rates import HsaConfig
 from hsagg.schemes import (
+    _parity_submatrices_nonsingular,
     build_baseline,
     build_elements,
     build_scheme,
@@ -66,6 +67,94 @@ def test_search_gamma_small_field():
 def test_search_gamma_pigeonhole():
     # 5 distinct nodes cannot exist in F_3
     assert search_gamma(HsaConfig(2, 3, 1), FieldSpec.for_prime(3)) is None
+
+
+def _closed_form_sweep(field, xs, n):
+    return all(
+        extended_vandermonde_subdet(field, xs, idx) != 0
+        for idx in itertools.combinations(range(len(xs)), n - 1)
+    )
+
+
+def test_parity_certificate_matches_closed_form():
+    rng = random.Random(20240)
+    cases = [
+        # n = 1 leaves only the parity row: its entry is -m, zero when m = q
+        (5, tuple(range(5)), 1),
+        (7, (3, 0, 6, 1, 5, 2, 4), 1),
+        (7, (1, 2, 4), 1),
+        # n = 2 and n = m
+        (11, (0, 1, 3, 7), 2),
+        (13, (0, 2, 5, 6, 9), 5),
+        (5, (0, 1, 2, 3, 4), 5),
+    ]
+    for _ in range(2400):
+        q = rng.choice((5, 7, 11, 13, 101, 257))
+        m = rng.randint(1, min(q, 9))
+        cases.append((q, tuple(rng.sample(range(q), m)), rng.randint(1, m)))
+    outcomes = []
+    for q, xs, n in cases:
+        field = FieldSpec.for_prime(q)
+        expected = _closed_form_sweep(field, xs, n)
+        assert _parity_submatrices_nonsingular(field, xs, n) == expected, (q, xs, n)
+        outcomes.append(expected)
+    assert outcomes[:2] == [False, False] and outcomes[2]
+    assert outcomes.count(True) > 400 and outcomes.count(False) > 400
+
+
+# (q, gamma) that build_scheme picks, recorded with the closed-form sweep as the
+# certifier: every feasible configuration with at most 12 users, default prime.
+SEARCH_PINS = {
+    (2, 1, 0): (3, 2), (2, 2, 0): (7, 2), (2, 2, 1): (5, 2), (2, 3, 0): (11, 2),
+    (2, 3, 1): (11, 3), (2, 3, 2): (7, 3), (2, 4, 0): (29, 7), (2, 4, 1): (19, 4),
+    (2, 4, 2): (19, 3), (2, 4, 3): (11, 2), (2, 5, 0): (19, 4), (2, 5, 1): (19, 4),
+    (2, 5, 2): (19, 4), (2, 5, 3): (19, 4), (2, 5, 4): (11, 2), (2, 6, 0): (23, 2),
+    (2, 6, 1): (23, 2), (2, 6, 2): (23, 2), (2, 6, 3): (23, 2), (2, 6, 4): (23, 2),
+    (2, 6, 5): (13, 2), (3, 1, 0): (5, 2), (3, 1, 1): (5, 2), (3, 2, 0): (11, 3),
+    (3, 2, 1): (11, 2), (3, 2, 2): (11, 3), (3, 2, 3): (7, 3), (3, 3, 0): (17, 2),
+    (3, 3, 1): (17, 2), (3, 3, 2): (17, 2), (3, 3, 3): (17, 2), (3, 3, 4): (17, 2),
+    (3, 3, 5): (11, 2), (3, 4, 0): (23, 2), (3, 4, 1): (23, 2), (3, 4, 2): (23, 2),
+    (3, 4, 3): (23, 2), (3, 4, 4): (23, 2), (3, 4, 5): (23, 2), (3, 4, 6): (23, 2),
+    (3, 4, 7): (13, 2), (4, 1, 0): (5, 2), (4, 1, 1): (5, 2), (4, 1, 2): (5, 2),
+    (4, 2, 0): (11, 7), (4, 2, 1): (29, 7), (4, 2, 2): (19, 4), (4, 2, 3): (19, 3),
+    (4, 2, 4): (11, 2), (4, 2, 5): (11, 2), (4, 3, 0): (23, 2), (4, 3, 1): (23, 2),
+    (4, 3, 2): (23, 2), (4, 3, 3): (23, 2), (4, 3, 4): (23, 2), (4, 3, 5): (23, 2),
+    (4, 3, 6): (23, 2), (4, 3, 7): (23, 2), (4, 3, 8): (13, 2), (5, 1, 0): (7, 3),
+    (5, 1, 1): (7, 3), (5, 1, 2): (7, 3), (5, 1, 3): (7, 3), (5, 2, 0): (19, 4),
+    (5, 2, 1): (19, 4), (5, 2, 2): (19, 4), (5, 2, 3): (19, 4), (5, 2, 4): (19, 4),
+    (5, 2, 5): (11, 2), (5, 2, 6): (11, 2), (5, 2, 7): (11, 2), (6, 1, 0): (7, 3),
+    (6, 1, 1): (7, 3), (6, 1, 2): (7, 3), (6, 1, 3): (7, 3), (6, 1, 4): (7, 3),
+    (6, 2, 0): (23, 2), (6, 2, 1): (23, 2), (6, 2, 2): (23, 2), (6, 2, 3): (23, 2),
+    (6, 2, 4): (23, 2), (6, 2, 5): (23, 2), (6, 2, 6): (13, 2), (6, 2, 7): (13, 2),
+    (6, 2, 8): (13, 2), (6, 2, 9): (13, 2), (7, 1, 0): (11, 2), (7, 1, 1): (11, 2),
+    (7, 1, 2): (11, 2), (7, 1, 3): (11, 2), (7, 1, 4): (11, 2), (7, 1, 5): (11, 2),
+    (8, 1, 0): (11, 2), (8, 1, 1): (11, 2), (8, 1, 2): (11, 2), (8, 1, 3): (11, 2),
+    (8, 1, 4): (11, 2), (8, 1, 5): (11, 2), (8, 1, 6): (11, 2), (9, 1, 0): (11, 2),
+    (9, 1, 1): (11, 2), (9, 1, 2): (11, 2), (9, 1, 3): (11, 2), (9, 1, 4): (11, 2),
+    (9, 1, 5): (11, 2), (9, 1, 6): (11, 2), (9, 1, 7): (11, 2), (10, 1, 0): (11, 2),
+    (10, 1, 1): (11, 2), (10, 1, 2): (11, 2), (10, 1, 3): (11, 2), (10, 1, 4): (11, 2),
+    (10, 1, 5): (11, 2), (10, 1, 6): (11, 2), (10, 1, 7): (11, 2), (10, 1, 8): (11, 2),
+    (11, 1, 0): (13, 2), (11, 1, 1): (13, 2), (11, 1, 2): (13, 2), (11, 1, 3): (13, 2),
+    (11, 1, 4): (13, 2), (11, 1, 5): (13, 2), (11, 1, 6): (13, 2), (11, 1, 7): (13, 2),
+    (11, 1, 8): (13, 2), (11, 1, 9): (13, 2), (12, 1, 0): (13, 2), (12, 1, 1): (13, 2),
+    (12, 1, 2): (13, 2), (12, 1, 3): (13, 2), (12, 1, 4): (13, 2), (12, 1, 5): (13, 2),
+    (12, 1, 6): (13, 2), (12, 1, 7): (13, 2), (12, 1, 8): (13, 2), (12, 1, 9): (13, 2),
+    (12, 1, 10): (13, 2),
+}
+
+
+def test_search_pins_acceptance_sweep():
+    built = {cfg: build_scheme(HsaConfig(*cfg)) for cfg in SEARCH_PINS}
+    assert {cfg: (s.field.q, s.params.gamma) for cfg, s in built.items()} == SEARCH_PINS
+
+
+@pytest.mark.parametrize(
+    "cfg, q_hint, pinned",
+    [((4, 4, 6), None, (31, 7)), ((6, 3, 5), 101, (103, 8)), ((5, 4, 8), None, (191, 5))],
+)
+def test_search_pins_larger_configurations(cfg, q_hint, pinned):
+    scheme = build_scheme(HsaConfig(*cfg), q_hint)
+    assert (scheme.field.q, scheme.params.gamma) == pinned
 
 
 # ---------------------------------------------------------------------------
