@@ -10,7 +10,14 @@ Two layers of checking:
   the non-fully-covered clusters (the last one omitted; the zero row sum
   makes it dependent) on the colluders' rows.  Sampling would silently
   weaken a universally quantified guarantee, so the audit either runs the
-  full enumeration or refuses with a budget error.
+  full enumeration or refuses with a budget error.  The audit does not
+  eliminate each matrix: it walks the collusion sets depth-first, users
+  ascending, and carries one echelon basis per relay (its cluster plus the
+  colluders) and one for the server (the kept cluster sums plus the
+  colluders).  Adding a colluder reduces one row against each basis; only
+  when it completes a cluster, so that the kept sums change, is the server
+  basis spanned again.  The condition-matrix builders below stay as the
+  per-check oracle the tests compare the walk with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
@@ -27,7 +34,6 @@ input sum from any zero-row-sum linear scheme.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import AuditBudgetExceeded, CorrectnessViolation
@@ -53,6 +59,10 @@ __all__ = [
 
 DEFAULT_RANK_BUDGET = 10**6
 DEFAULT_ENUMERATION_CAP = 10**7
+# The audit recurses once per colluder.  Sets of up to d colluders number at
+# least 2^d, so a deeper walk could never finish under any budget; it is
+# refused instead of running into the interpreter's recursion limit.
+_MAX_WALK_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -192,33 +202,119 @@ def _checks(cfg: HsaConfig):
             yield tset, None
 
 
-def _planned_checks(cfg: HsaConfig) -> int:
-    """Number of checks ``_checks(cfg)`` yields: U + 1 per collusion set."""
-    return (cfg.U + 1) * sum(math.comb(cfg.n_users, t) for t in _set_sizes(cfg))
+def _planned_checks(cfg: HsaConfig, limit: int) -> int:
+    """Number of checks ``_checks(cfg)`` yields, U + 1 per collusion set; once
+    the running count passes ``limit`` it is returned as it stands, so an
+    over-budget plan is refused without summing every binomial."""
+    m = cfg.n_users
+    total, sets = 0, 1  # sets = C(UV, t)
+    for t in _set_sizes(cfg):
+        total += (cfg.U + 1) * sets
+        if total > limit:
+            break
+        sets = sets * (m - t) // (t + 1)
+    return total
+
+
+def _extend(basis: list, row, q: int) -> bool:
+    """Append ``row`` to the echelon ``basis`` if it is independent of it.
+
+    ``basis`` holds (pivot, row) pairs in insertion order, each row 1 at its
+    pivot and 0 at every earlier pivot, so reducing in that order leaves
+    ``row`` with no component in their span.
+    """
+    if len(basis) == len(row):
+        return False
+    r = list(row)
+    for p, b in basis:
+        f = r[p]
+        if f:
+            r = [(x - f * y) % q for x, y in zip(r, b)]
+    p = next((i for i, x in enumerate(r) if x), None)
+    if p is None:
+        return False
+    inv = pow(r[p], -1, q)
+    basis.append((p, [x * inv % q for x in r]))
+    return True
+
+
+def _span(rows, q: int) -> list:
+    """An echelon basis of the span of ``rows``."""
+    basis: list = []
+    for row in rows:
+        _extend(basis, row, q)
+    return basis
 
 
 def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:
     """Exhaustive rank audit over every collusion set of size at most T.
 
     Enumerates all violations, not just the first, in a canonical order so
-    reports are identical across runs.
+    reports are identical across runs.  The collusion sets are walked as a
+    prefix tree, users ascending, and each step adds one colluder's row to
+    the echelon bases the ranks are read from: per relay u, a basis of
+    cluster u and the colluders; for the server, a basis of the kept cluster
+    sums and the colluders.  When a step covers a whole cluster, the kept
+    sums change and the server basis is spanned again.  The ranks equal those
+    of ``relay_condition_matrix`` and ``server_condition_matrix``, which stay
+    as the per-check oracle.
     """
     cfg = scheme.cfg
-    checks = _planned_checks(cfg)
+    checks = _planned_checks(cfg, budget)
     if checks > budget:
-        raise AuditBudgetExceeded(f"audit needs {checks} rank checks, budget is {budget}")
+        raise AuditBudgetExceeded(f"audit needs more than the budget of {budget} rank checks")
+    depth = min(cfg.T, cfg.n_users)
+    if depth > _MAX_WALK_DEPTH:
+        raise AuditBudgetExceeded(
+            f"audit needs collusion sets of {depth} users, more than {_MAX_WALK_DEPTH}"
+        )
 
+    q, U, V, users = scheme.field.q, cfg.U, cfg.V, cfg.users()
+    rows = [scheme.coefficient_row(*user) for user in users]
+    sums = [_cluster_sum_row(scheme, u) for u in range(1, U + 1)]
+    relay_bases = [_span(rows[u * V:(u + 1) * V], q) for u in range(U)]
+    covered = [0] * U  # colluders per cluster
+    members: list[int] = []
     violations: list[RankViolation] = []
-    for tset, relay in _checks(cfg):
-        if relay is None:
-            m = server_condition_matrix(scheme, tset)
-        else:
-            m = relay_condition_matrix(scheme, relay, tset)
-        r = m.rank()
-        if r < m.rows:
-            kind = "server" if relay is None else "relay"
-            violations.append(RankViolation(kind, relay, tset, r, m.rows))
 
+    def kept() -> list[int]:
+        """The clusters whose sums the server matrix stacks: all uncovered but the last."""
+        return [u for u in range(U) if covered[u] < V][:-1]
+
+    def visit(server_basis: list) -> None:
+        size = len(members)
+        leaks = []
+        for u, basis in enumerate(relay_bases):
+            required = V - covered[u] + size
+            if len(basis) < required:
+                leaks.append(("relay", u + 1, len(basis), required))
+        required = len(kept()) + size
+        if len(server_basis) < required:
+            leaks.append(("server", None, len(server_basis), required))
+        if leaks:
+            tset = CollusionSet(tuple(users[j] for j in members))
+            violations.extend(RankViolation(k, r, tset, o, n) for k, r, o, n in leaks)
+        if size == depth:
+            return
+        for j in range(members[-1] + 1 if members else 0, len(users)):
+            row, own = rows[j], j // V
+            # cluster own's basis already holds row j
+            grown = [u for u in range(U) if u != own and _extend(relay_bases[u], row, q)]
+            members.append(j)
+            covered[own] += 1
+            if covered[own] == V:  # the kept sums change: span the server basis anew
+                visit(_span([sums[u] for u in kept()] + [rows[i] for i in members], q))
+            else:
+                grew = _extend(server_basis, row, q)
+                visit(server_basis)
+                if grew:
+                    server_basis.pop()
+            covered[own] -= 1
+            members.pop()
+            for u in grown:
+                relay_bases[u].pop()
+
+    visit(_span([sums[u] for u in kept()], q))
     violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
     return AuditReport(
         relay_ok=not any(v.kind == "relay" for v in violations),
@@ -355,12 +451,10 @@ def exact_sweep(
     q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised before
     anything is enumerated.
     """
-    checks = _planned_checks(scheme.cfg)
     tuples = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
-    if checks * tuples > cap:
+    if _planned_checks(scheme.cfg, cap // tuples) * tuples > cap:
         raise AuditBudgetExceeded(
-            f"exact sweep needs {checks} checks of {tuples} tuples, cap is {cap}; "
-            "refusing to sample"
+            f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
         )
     return [
         exact_independence_check(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,34 @@ def test_audit_hostile_collusion_budget_fails_fast(tmp_path):
         assert proc.returncode == 5, proc.stderr
         stdout[T] = proc.stdout
     assert stdout[10**15] == stdout[2]
+
+
+@pytest.mark.parametrize(
+    "budget, error",
+    [
+        (None, "audit needs more than the budget of 1000000 rank checks"),
+        # a budget past 2^10000 checks: sets of 10,000 colluders are refused anyway
+        (10**4000, "audit needs collusion sets of 10000 users, more than 256"),
+    ],
+)
+def test_audit_over_budget_refuses_before_counting_every_set(tmp_path, budget, error):
+    # 10,000 users and T = 10,000: the exact plan is a 3,000-digit count of
+    # collusion sets; the refusal stops counting once the budget is passed
+    V = 5000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "U": 2, "V": V, "T": 10000, "q": 2,
+        "H": {"q": 2, "rows": 2 * V, "cols": 1, "data": [1] * (2 * V)},
+        "row_index": [[f"{u},{v}", V * (u - 1) + v - 1] for u in (1, 2) for v in range(1, V + 1)],
+    }))
+    argv = ["-m", "hsagg.cli", "audit", "--scheme", str(path)]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    start = time.perf_counter()
+    proc = run_process(argv, tmp_path, 20)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stderr == f"error: {error}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,47 @@ LEAKY = {
     "row_index": [["1,1", 0], ["1,2", 1], ["2,1", 2], ["2,2", 3]],
 }
 
+
+def _vandermonde_434(q=23, gamma=2):
+    """The (4, 3, 4) extended-Vandermonde document at (q, gamma), from the node
+    formula: x_0 = 0, x_i = x_(i-1) + gamma^i; n = 7 source symbols; the
+    parity row (negated column sums) belongs to user (4, 3), the Vandermonde
+    rows to the other users in lexicographic order."""
+    U, V, T, n = 4, 3, 4, 7
+    xs = [0]
+    for i in range(1, U * V - 1):
+        xs.append((xs[-1] + pow(gamma, i, q)) % q)
+    rows = [[pow(x, j, q) for j in range(n)] for x in xs]
+    rows.insert(0, [-sum(col) % q for col in zip(*rows)])
+    users = [(u, v) for u in range(1, U + 1) for v in range(1, V + 1)]
+    order = [(U, V)] + users[:-1]
+    return {
+        "U": U, "V": V, "T": T, "q": q, "gamma": gamma,
+        "kind": "extended_vandermonde", "elements": xs,
+        "H": {"q": q, "rows": len(rows), "cols": n, "data": [x for r in rows for x in r]},
+        "row_index": [[f"{u},{v}", order.index((u, v))] for (u, v) in users],
+    }
+
+
+def _times_unit_triangular(doc):
+    """An external copy with H replaced by H*A, where A is unit upper triangular
+    (so invertible) with fixed entries above the diagonal: the same users and
+    the same rank for every condition matrix."""
+    h = doc["H"]
+    q, n = h["q"], h["cols"]
+    a = [[1 if i == j else (7 * i + 3 * j + 1) % q if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    rows = [h["data"][i * n:(i + 1) * n] for i in range(h["rows"])]
+    data = [sum(r[k] * a[k][j] for k in range(n)) % q for r in rows for j in range(n)]
+    return dict(doc, kind="external", gamma=None, elements=[], H=dict(h, data=data))
+
+
+# (4, 3, 4) at (23, 2): its cluster sums leak to the server in 10 collusion sets
+VANDERMONDE_434 = _vandermonde_434()
+EXTERNAL_434 = _times_unit_triangular(VANDERMONDE_434)
+# both give one report, so one digest
+AUDIT_434 = "7f9ca8f610f5004cce667c771730dbfbd029da70849677ca9132d97b2daa5a6e"
+
 SWEEP = ["rates", "--sweep", "U=2..5", "V=1..4", "T=0..12"]
 
 PINS = [
@@ -38,13 +79,18 @@ PINS = [
     (["audit"], LEAKY, 5, "15de59baae94c5c8fe503979752b2905270937a7a6c1243e08bb79dcd893f3d5"),
     (["audit", "--exact"], LEAKY, 5,
      "814df8ca9a961d790569eeff4b0401dbdbd882f1b95c7b6bdd4a58d0df2f1861"),
+    (["audit"], VANDERMONDE_434, 5, AUDIT_434),
+    (["audit"], EXTERNAL_434, 5, AUDIT_434),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, scheme, code, digest",
     PINS,
-    ids=["rates-csv", "rates-json", "audit-clean", "exact-clean", "audit-leaky", "exact-leaky"],
+    ids=[
+        "rates-csv", "rates-json", "audit-clean", "exact-clean", "audit-leaky", "exact-leaky",
+        "audit-vandermonde-434", "audit-external-434",
+    ],
 )
 def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, scheme, code, digest):
     if scheme is not None:

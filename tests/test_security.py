@@ -1,6 +1,7 @@
 """Rank audits, the exact independence oracle, and the boundary attack."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,10 @@ from hsagg.schemes import (
     derive_keys,
 )
 from hsagg.security import (
+    AuditReport,
     CollusionSet,
+    RankViolation,
+    _checks,
     audit,
     exact_independence_check,
     infeasibility_attack,
@@ -222,6 +226,56 @@ def test_audit_budget_is_explicit(golden_3x2_f17):
 def test_audit_json_shape(golden_2x3_f3):
     obj = audit(golden_2x3_f3).to_json_obj()
     assert set(obj) == {"relay_ok", "server_ok", "checks_performed", "violations"}
+
+
+def _random_scheme(rng: random.Random) -> CoefficientScheme:
+    """A random external scheme: duplicated rows, shuffled row_index, T up to
+    UV + 1, and in about half the cases columns that do not sum to zero."""
+    U, V = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (2, 4), (4, 2)])
+    q = rng.choice([2, 3, 5, 7])
+    cfg = HsaConfig(U, V, rng.randrange(U * V + 2))
+    n = rng.randint(1, U * V)
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(U * V)]
+    for _ in range(rng.randrange(3)):
+        rows[rng.randrange(U * V)] = list(rows[rng.randrange(U * V)])
+    if rng.random() < 0.5:
+        rows[-1] = [(x - sum(col)) % q for x, col in zip(rows[-1], zip(*rows))]
+    order = list(range(U * V))
+    rng.shuffle(order)
+    field = FieldSpec.for_prime(q)
+    return CoefficientScheme(
+        SchemeParams(cfg, field, None, None, n),
+        FqMatrix.from_rows(field, rows),
+        dict(zip(cfg.users(), order)),
+        "external",
+    )
+
+
+def test_audit_walk_matches_condition_matrices(golden_3x2_f17):
+    # the audit's walk against one elimination of each condition matrix
+    rng = random.Random(20240517)
+    schemes = [_random_scheme(rng) for _ in range(150)]
+    schemes += [golden_3x2_f17, _zeroed_row(golden_3x2_f17, (2, 1))]
+    for scheme in schemes:
+        violations = []
+        for tset, relay in _checks(scheme.cfg):
+            if relay is None:
+                m = server_condition_matrix(scheme, tset)
+            else:
+                m = relay_condition_matrix(scheme, relay, tset)
+            r = m.rank()
+            if r < m.rows:
+                kind = "server" if relay is None else "relay"
+                violations.append(RankViolation(kind, relay, tset, r, m.rows))
+        violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
+        report = audit(scheme)
+        assert report == AuditReport(
+            relay_ok=not any(v.kind == "relay" for v in violations),
+            server_ok=not any(v.kind == "server" for v in violations),
+            checks_performed=report.checks_performed,
+            violations=tuple(violations),
+        )
+        assert report.checks_performed == sum(1 for _ in _checks(scheme.cfg))
 
 
 def test_audited_matrix_ranks_match_minor_oracle(golden_2x3_f3):
