@@ -4,7 +4,7 @@ Exit codes partition the failure classes so CI can assert boundaries as
 process behavior:
 
     0  success / clean audit
-    2  domain error (bad configuration or ranges)
+    2  domain error (bad configuration or ranges, unwritable output path)
     3  infeasible configuration (T >= (U-1)*V)
     4  corrupt or malformed scheme / transcript
     5  security violation found by an audit
@@ -165,6 +165,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.rounds < 0:
+        raise ConfigurationError(f"--rounds must be nonnegative, got {args.rounds}")
     scheme = _load_scheme(args.scheme)
     successes = 0
     for i in range(args.rounds):
@@ -282,7 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except InfeasibleConfiguration as exc:

@@ -1,9 +1,12 @@
 """Exact linear algebra over prime fields.
 
 Residues are canonical integers in ``[0, q)``, matrices are immutable, and
-rank/determinant use exact Gaussian elimination, so there are no tolerance
-questions anywhere.  Everything in this module is a pure function of its
-arguments and safe for unrestricted concurrent use.
+arithmetic is exact, so there are no tolerance questions anywhere.
+``_extend`` is the package's one row reduction: it grows an echelon basis by
+one row.  The security audit carries such bases through its walk over
+collusion sets, and ``FqMatrix.rank`` and ``FqMatrix.det`` read the rank and
+the determinant off one.  Apart from ``_extend``, which appends to the basis
+it is given, everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -143,42 +146,29 @@ class FqMatrix:
             sum(self.entry(i, j) for i in range(self.rows)) % q for j in range(self.cols)
         )
 
-    def _eliminate(self) -> tuple[int, int]:
-        """Gaussian elimination with first-nonzero pivoting, stopped once every
-        row holds a pivot: the rank and the product of the pivots signed by the
-        row swaps, which is the determinant of a square matrix of full rank."""
-        q = self.field.q
-        a = [list(self.row(i)) for i in range(self.rows)]
-        r, product = 0, 1
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if a[i][c]), None)
-            if pivot is None:
-                continue
-            if pivot != r:
-                a[r], a[pivot] = a[pivot], a[r]
-                product = -product
-            product = product * a[r][c] % q
-            inv = pow(a[r][c], -1, q)
-            a[r] = [x * inv % q for x in a[r]]
-            for i in range(r + 1, self.rows):
-                f = a[i][c]
-                if f:
-                    a[i] = [(x - f * y) % q for x, y in zip(a[i], a[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r, product
-
     def rank(self) -> int:
-        """Row rank via exact Gaussian elimination."""
-        return self._eliminate()[0]
+        """Row rank: the size of an echelon basis of the rows."""
+        return len(_span(self.row_list(), self.field.q))
 
     def det(self) -> int:
-        """Exact determinant; the empty 0x0 matrix has determinant 1."""
+        """Exact determinant; the empty 0x0 matrix has determinant 1.
+
+        The product of the pivots of an echelon basis of the rows, signed by
+        the parity of the permutation taking each row to its pivot column.
+        """
         if self.rows != self.cols:
             raise ValueError(f"determinant of non-square {self.rows}x{self.cols} matrix")
-        r, product = self._eliminate()
-        return product if r == self.rows else 0
+        q = self.field.q
+        basis: list = []
+        product = 1
+        for row in self.row_list():
+            pivot = _extend(basis, row, q)
+            if not pivot:
+                return 0
+            product = product * pivot % q
+        cols = [p for p, _ in basis]
+        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+        return -product % q if inversions % 2 else product
 
     def to_json_obj(self) -> dict:
         return {
@@ -203,6 +193,37 @@ class FqMatrix:
         elif field.q != q:
             raise ValueError(f"matrix modulus {q} does not match field modulus {field.q}")
         return cls(rows, cols, entries, field)
+
+
+def _extend(basis: list, row, q: int) -> int:
+    """Append ``row`` to the echelon ``basis`` if it is independent of it.
+
+    ``basis`` holds (pivot, row) pairs in insertion order, each row 1 at its
+    pivot and 0 at every earlier pivot, so reducing in that order leaves
+    ``row`` with no component in their span.  Returns the pivot value the
+    residue was scaled by, or 0 when ``row`` is dependent and left out.
+    """
+    if len(basis) == len(row):
+        return 0
+    r = list(row)
+    for p, b in basis:
+        f = r[p]
+        if f:
+            r = [(x - f * y) % q for x, y in zip(r, b)]
+    p = next((i for i, x in enumerate(r) if x), None)
+    if p is None:
+        return 0
+    inv = pow(r[p], -1, q)
+    basis.append((p, [x * inv % q for x in r]))
+    return r[p]
+
+
+def _span(rows, q: int) -> list:
+    """An echelon basis of the span of ``rows``."""
+    basis: list = []
+    for row in rows:
+        _extend(basis, row, q)
+    return basis
 
 
 def vandermonde(field: FieldSpec, xs: Sequence[int], n: int) -> FqMatrix:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CorrectnessViolation
+from .errors import ConfigurationError, CorrectnessViolation
 from .schemes import CoefficientScheme, KeyMaterial, derive_keys
 
 __all__ = [
@@ -70,7 +70,7 @@ def sample_round(
     rounds.
     """
     if L < 1:
-        raise ValueError(f"round length must be positive, got {L}")
+        raise ConfigurationError(f"round length must be positive, got {L}")
     q = scheme.field.q
     rng = random.Random(seed)
     W = {

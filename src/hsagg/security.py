@@ -16,8 +16,10 @@ Two layers of checking:
   colluders) and one for the server (the kept cluster sums plus the
   colluders).  Adding a colluder reduces one row against each basis; only
   when it completes a cluster, so that the kept sums change, is the server
-  basis spanned again.  The condition-matrix builders below stay as the
-  per-check oracle the tests compare the walk with.
+  basis spanned again.  The reduction is ``fields._extend``, the package's
+  one row reduction, which ``FqMatrix.rank`` also reads its rank from; this
+  module defines none of its own.  The condition-matrix builders below stay
+  as the per-check oracle the tests compare the walk with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
@@ -37,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import AuditBudgetExceeded, CorrectnessViolation
-from .fields import FqMatrix
+from .fields import FqMatrix, _extend, _span
 from .protocol import RoundTranscript
 from .rates import HsaConfig
 from .schemes import CoefficientScheme
@@ -118,13 +120,8 @@ def relay_condition_matrix(
 
 
 def _cluster_sum_row(scheme: CoefficientScheme, u: int) -> tuple[int, ...]:
-    q = scheme.field.q
-    cols = scheme.H.cols
-    total = [0] * cols
-    for v in range(1, scheme.cfg.V + 1):
-        row = scheme.coefficient_row(u, v)
-        total = [(a + b) % q for a, b in zip(total, row)]
-    return tuple(total)
+    rows = [scheme.coefficient_row(u, v) for v in range(1, scheme.cfg.V + 1)]
+    return FqMatrix.from_rows(scheme.field, rows).column_sums()
 
 
 def server_condition_matrix(scheme: CoefficientScheme, tset: CollusionSet) -> FqMatrix:
@@ -216,36 +213,6 @@ def _planned_checks(cfg: HsaConfig, limit: int) -> int:
     return total
 
 
-def _extend(basis: list, row, q: int) -> bool:
-    """Append ``row`` to the echelon ``basis`` if it is independent of it.
-
-    ``basis`` holds (pivot, row) pairs in insertion order, each row 1 at its
-    pivot and 0 at every earlier pivot, so reducing in that order leaves
-    ``row`` with no component in their span.
-    """
-    if len(basis) == len(row):
-        return False
-    r = list(row)
-    for p, b in basis:
-        f = r[p]
-        if f:
-            r = [(x - f * y) % q for x, y in zip(r, b)]
-    p = next((i for i, x in enumerate(r) if x), None)
-    if p is None:
-        return False
-    inv = pow(r[p], -1, q)
-    basis.append((p, [x * inv % q for x in r]))
-    return True
-
-
-def _span(rows, q: int) -> list:
-    """An echelon basis of the span of ``rows``."""
-    basis: list = []
-    for row in rows:
-        _extend(basis, row, q)
-    return basis
-
-
 def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:
     """Exhaustive rank audit over every collusion set of size at most T.
 
@@ -263,7 +230,7 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
     checks = _planned_checks(cfg, budget)
     if checks > budget:
         raise AuditBudgetExceeded(f"audit needs more than the budget of {budget} rank checks")
-    depth = min(cfg.T, cfg.n_users)
+    depth = _set_sizes(cfg)[-1]
     if depth > _MAX_WALK_DEPTH:
         raise AuditBudgetExceeded(
             f"audit needs collusion sets of {depth} users, more than {_MAX_WALK_DEPTH}"

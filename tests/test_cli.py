@@ -373,6 +373,51 @@ def test_attack_secure_scheme_still_leaks_to_oversized_collusion(golden_f3_file,
     assert "10/10" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_round_length_below_one_exit_2(golden_f3_file, capsys, command, length):
+    assert run_cli(command, "--scheme", golden_f3_file, "--L", length) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: round length must be positive, got {length}\n"
+
+
+def test_attack_negative_rounds_exit_2(golden_f3_file, capsys):
+    assert run_cli("attack", "--scheme", golden_f3_file, "--rounds", "-2", "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --rounds must be nonnegative, got -2\n"
+
+    assert run_cli("attack", "--scheme", golden_f3_file, "--rounds", "0", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["successes"], payload["success_rate"]) == (0, None)
+
+
+# ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--U", "2", "--V", "2", "--T", "1", "--out"],
+        ["rates", "--U", "2", "--V", "2", "--T", "1", "--out"],
+        ["simulate", "--scheme", "SCHEME", "--transcript"],
+    ],
+    ids=["build", "rates", "simulate"],
+)
+def test_unwritable_output_path_exit_2(golden_f3_file, tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    argv = [golden_f3_file if a == "SCHEME" else a for a in argv]
+    assert run_cli(*argv, str(target)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
