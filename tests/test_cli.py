@@ -398,18 +398,14 @@ def test_attack_negative_rounds_exit_2(golden_f3_file, capsys):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["build", "--U", "2", "--V", "2", "--T", "1", "--out"],
-        ["rates", "--U", "2", "--V", "2", "--T", "1", "--out"],
-        ["simulate", "--scheme", "SCHEME", "--transcript"],
-    ],
-    ids=["build", "rates", "simulate"],
-)
-def test_unwritable_output_path_exit_2(golden_f3_file, tmp_path, capsys, argv):
+@pytest.mark.parametrize("command", ["build", "rates", "simulate"])
+def test_unwritable_output_path_exit_2(golden_f3_file, tmp_path, capsys, command):
     target = tmp_path / "missing" / "x.json"
-    argv = [golden_f3_file if a == "SCHEME" else a for a in argv]
+    argv = {
+        "build": ["build", "--U", "2", "--V", "2", "--T", "1", "--out"],
+        "rates": ["rates", "--U", "2", "--V", "2", "--T", "1", "--out"],
+        "simulate": ["simulate", "--scheme", golden_f3_file, "--transcript"],
+    }[command]
     assert run_cli(*argv, str(target)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
