@@ -152,6 +152,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    for flag, value in (("--budget", args.budget), ("--q-cap", args.q_cap)):
+        if value < 0:
+            raise ConfigurationError(f"{flag} must be nonnegative, got {value}")
     scheme = _load_scheme(args.scheme)
     report = security.audit(scheme, budget=args.budget)
     obj = report.to_json_obj()
@@ -167,6 +170,8 @@ def cmd_audit(args) -> int:
 def cmd_attack(args) -> int:
     if args.rounds < 0:
         raise ConfigurationError(f"--rounds must be nonnegative, got {args.rounds}")
+    if args.L <= 0:  # zero rounds never reach sample_round's own check
+        raise ConfigurationError(f"round length must be positive, got {args.L}")
     scheme = _load_scheme(args.scheme)
     successes = 0
     for i in range(args.rounds):

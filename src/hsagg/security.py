@@ -89,12 +89,17 @@ class CollusionSet:
         return iter(self.members)
 
 
-def _check_collusion(scheme: CoefficientScheme, tset: CollusionSet) -> None:
+def _check_labels(
+    scheme: CoefficientScheme, tset: CollusionSet, relay: int | None
+) -> None:
+    """Refuse a check that ``scheme`` does not have; ``relay=None`` names the server."""
     cfg = scheme.cfg
     if any(not (1 <= u <= cfg.U and 1 <= v <= cfg.V) for (u, v) in tset):
         raise ValueError("collusion set contains labels outside the user grid")
     if len(tset) > cfg.T:
         raise ValueError(f"collusion set of size {len(tset)} exceeds budget T = {cfg.T}")
+    if relay is not None and not 1 <= relay <= cfg.U:
+        raise ValueError(f"relay id {relay} out of range [1, {cfg.U}]")
 
 
 def relay_condition_matrix(
@@ -105,10 +110,8 @@ def relay_condition_matrix(
     Stacks the rows of relay u's cluster members that are not colluding,
     then one row per colluder; (V - T_in) + |tset| rows in total.
     """
-    _check_collusion(scheme, tset)
+    _check_labels(scheme, tset, u)
     cfg = scheme.cfg
-    if not 1 <= u <= cfg.U:
-        raise ValueError(f"relay id {u} out of range [1, {cfg.U}]")
     colluders = set(tset)
     rows = [
         scheme.coefficient_row(u, v)
@@ -131,7 +134,7 @@ def server_condition_matrix(scheme: CoefficientScheme, tset: CollusionSet) -> Fq
     stacks the whole-cluster coefficient sums of all but the last uncovered
     cluster, then one row per colluder; (U - F - 1) + |tset| rows.
     """
-    _check_collusion(scheme, tset)
+    _check_labels(scheme, tset, None)
     cfg = scheme.cfg
     colluders = set(tset)
     uncovered = [
@@ -146,11 +149,14 @@ def server_condition_matrix(scheme: CoefficientScheme, tset: CollusionSet) -> Fq
 
 @dataclass(frozen=True)
 class RankViolation:
-    kind: str  # "relay" or "server"
-    relay: int | None
+    relay: int | None  # None for the server
     collusion: CollusionSet
     observed_rank: int
     required_rank: int
+
+    @property
+    def kind(self) -> str:
+        return "server" if self.relay is None else "relay"
 
     def to_json_obj(self) -> dict:
         return {
@@ -164,14 +170,20 @@ class RankViolation:
 
 @dataclass(frozen=True)
 class AuditReport:
-    relay_ok: bool
-    server_ok: bool
     checks_performed: int
     violations: tuple[RankViolation, ...]
 
     @property
+    def relay_ok(self) -> bool:
+        return all(v.relay is None for v in self.violations)
+
+    @property
+    def server_ok(self) -> bool:
+        return all(v.relay is not None for v in self.violations)
+
+    @property
     def passed(self) -> bool:
-        return self.relay_ok and self.server_ok
+        return not self.violations
 
     def to_json_obj(self) -> dict:
         return {
@@ -254,13 +266,13 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
         for u, basis in enumerate(relay_bases):
             required = V - covered[u] + size
             if len(basis) < required:
-                leaks.append(("relay", u + 1, len(basis), required))
+                leaks.append((u + 1, len(basis), required))
         required = len(kept()) + size
         if len(server_basis) < required:
-            leaks.append(("server", None, len(server_basis), required))
+            leaks.append((None, len(server_basis), required))
         if leaks:
             tset = CollusionSet(tuple(users[j] for j in members))
-            violations.extend(RankViolation(k, r, tset, o, n) for k, r, o, n in leaks)
+            violations.extend(RankViolation(r, tset, o, n) for r, o, n in leaks)
         if size == depth:
             return
         for j in range(members[-1] + 1 if members else 0, len(users)):
@@ -283,19 +295,13 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
 
     visit(_span([sums[u] for u in kept()], q))
     violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
-    return AuditReport(
-        relay_ok=not any(v.kind == "relay" for v in violations),
-        server_ok=not any(v.kind == "server" for v in violations),
-        checks_performed=checks,
-        violations=tuple(violations),
-    )
+    return AuditReport(checks, tuple(violations))
 
 
 @dataclass(frozen=True)
 class IndependenceVerdict:
     passed: bool
-    mode: str
-    relay: int | None
+    relay: int | None  # None for the server
     collusion: CollusionSet
     tuples_enumerated: int
     # (c, a, b, N_abc, N_c, N_ac, N_bc) for the first failing cell
@@ -304,7 +310,7 @@ class IndependenceVerdict:
     def to_json_obj(self) -> dict:
         return {
             "passed": self.passed,
-            "mode": self.mode,
+            "mode": "server" if self.relay is None else "relay",
             "relay": self.relay,
             "collusion": [list(t) for t in self.collusion],
             "tuples_enumerated": self.tuples_enumerated,
@@ -314,31 +320,22 @@ class IndependenceVerdict:
 
 def exact_independence_check(
     scheme: CoefficientScheme,
-    mode: str,
     tset: CollusionSet,
     relay: int | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> IndependenceVerdict:
     """Decide a definitional security statement by complete enumeration (L = 1).
 
-    relay mode: are relay `relay`'s received messages independent of the
-    full input set, given the colluders' inputs and masks?
-    server mode: are the relay-to-server messages independent of the input
-    set, given the total input sum and the colluders' inputs and masks?
+    relay u (``relay=u``): are relay u's received messages independent of
+    the full input set, given the colluders' inputs and masks?
+    server (``relay=None``): are the relay-to-server messages independent of
+    the input set, given the total input sum and the colluders' inputs and
+    masks?
 
     Enumerates every (W, N) tuple and tests the count-product identity for
     every cell of the resulting contingency table.  Exact integers only.
     """
-    if mode not in ("relay", "server"):
-        raise ValueError(f"mode must be 'relay' or 'server', got {mode!r}")
-    if mode == "relay" and relay is None:
-        raise ValueError("relay mode needs a relay id")
-    if mode == "server" and relay is not None:
-        raise ValueError("server mode takes no relay id")
-    _check_collusion(scheme, tset)
-    if mode == "relay" and not 1 <= relay <= scheme.cfg.U:
-        raise ValueError(f"relay id {relay} out of range")
-
+    _check_labels(scheme, tset, relay)
     cfg = scheme.cfg
     q = scheme.field.q
     n_users = cfg.n_users
@@ -356,7 +353,7 @@ def exact_independence_check(
     clusters = [
         [uidx[(u, v)] for v in range(1, cfg.V + 1)] for u in range(1, cfg.U + 1)
     ]
-    relay_members = clusters[relay - 1] if mode == "relay" else None
+    relay_members = None if relay is None else clusters[relay - 1]
 
     # Mask vectors for every source draw, in user order.
     z_table = [
@@ -372,7 +369,7 @@ def exact_independence_check(
         cluster_w = [sum(w[i] for i in cl) % q for cl in clusters]
         total_w = sum(cluster_w) % q
         for z in z_table:
-            if mode == "relay":
+            if relay_members is not None:
                 a = tuple((w[i] + z[i]) % q for i in relay_members)
                 c = tuple((w[i], z[i]) for i in t_idx)
             else:
@@ -403,10 +400,10 @@ def exact_independence_check(
                 bc = n_bc[(b, c)]
                 if joint * count_c != ac * bc:
                     return IndependenceVerdict(
-                        False, mode, relay, tset, total,
+                        False, relay, tset, total,
                         witness=(c, a, b, joint, count_c, ac, bc),
                     )
-    return IndependenceVerdict(True, mode, relay, tset, total)
+    return IndependenceVerdict(True, relay, tset, total)
 
 
 def exact_sweep(
@@ -424,9 +421,7 @@ def exact_sweep(
             f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
         )
     return [
-        exact_independence_check(
-            scheme, "server" if relay is None else "relay", tset, relay=relay, cap=cap
-        )
+        exact_independence_check(scheme, tset, relay=relay, cap=cap)
         for tset, relay in _checks(scheme.cfg)
     ]
 

@@ -91,10 +91,8 @@ def exact_security_suite():
             for combo in itertools.combinations(cfg.users(), t):
                 tset = CollusionSet(combo)
                 for u in range(1, cfg.U + 1):
-                    verdicts.append(
-                        exact_independence_check(scheme, "relay", tset, relay=u)
-                    )
-                verdicts.append(exact_independence_check(scheme, "server", tset))
+                    verdicts.append(exact_independence_check(scheme, tset, relay=u))
+                verdicts.append(exact_independence_check(scheme, tset))
         results[name] = (scheme, verdicts)
     return results
 
@@ -212,7 +210,7 @@ def test_criterion_5_exact_definitional_security(exact_security_suite):
     total_checks = 0
     for name, (scheme, verdicts) in exact_security_suite.items():
         for v in verdicts:
-            assert v.passed, (name, v.mode, v.relay, v.collusion)
+            assert v.passed, (name, v.relay, v.collusion)
             assert v.tuples_enumerated <= 5**7
             total_checks += 1
     _report(
@@ -315,9 +313,7 @@ def test_criterion_8_audit_soundness_cross_check(exact_security_suite):
         )
         tampered_report = audit(tampered)
         assert not tampered_report.passed, name
-        oracle = exact_independence_check(
-            tampered, "relay", CollusionSet.of([]), relay=1
-        )
+        oracle = exact_independence_check(tampered, CollusionSet.of([]), relay=1)
         assert not oracle.passed, name
         assert oracle.witness is not None
         agreements.append(name)

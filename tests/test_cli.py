@@ -241,6 +241,16 @@ def test_audit_budget_exit_6(golden_f17_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--q-cap"])
+def test_audit_negative_budget_exit_2(golden_f17_file, capsys, flag):
+    assert run_cli("audit", "--scheme", golden_f17_file, "--exact", flag, "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be nonnegative, got -1\n"
+    # a zero budget is valid and too small for any audit
+    assert run_cli("audit", "--scheme", golden_f17_file, "--exact", flag, "0") == 6
+
+
 def test_audit_exact_mode(tmp_path, capsys):
     build = tmp_path / "s.json"
     run_cli("build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", str(build))
@@ -393,6 +403,14 @@ def test_attack_negative_rounds_exit_2(golden_f3_file, capsys):
     assert (payload["successes"], payload["success_rate"]) == (0, None)
 
 
+def test_attack_zero_rounds_still_checks_round_length(golden_f3_file, capsys):
+    argv = ["attack", "--scheme", golden_f3_file, "--rounds", "0", "--L", "-5", "--json"]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: round length must be positive, got -5\n"
+
+
 # ---------------------------------------------------------------------------
 # output paths
 # ---------------------------------------------------------------------------
@@ -412,6 +430,49 @@ def test_unwritable_output_path_exit_2(golden_f3_file, tmp_path, capsys, command
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(target) in captured.err
     assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# --pretty
+# ---------------------------------------------------------------------------
+
+
+PRETTY_ARGV = {
+    "rates": ["rates", "--sweep", "U=2..3", "V=1..2", "T=0..2", "--json"],
+    "build": ["build", "--U", "2", "--V", "3", "--T", "1", "--out", "s.json", "--json"],
+    "simulate": ["simulate", "--scheme", "f3.json", "--L", "3", "--transcript", "t.json",
+                 "--json"],
+    "audit": ["audit", "--scheme", "leaky.json"],
+    "attack": ["attack", "--scheme", "f3.json", "--rounds", "3", "--L", "2", "--json"],
+    "compare": ["compare", "--U", "3", "--V", "2", "--T", "2", "--json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRETTY_ARGV))
+def test_pretty_output_parses_to_the_plain_output(
+    golden_f3_file, tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.chdir(tmp_path)
+    Path("f3.json").write_text(Path(golden_f3_file).read_text())
+    leaky = golden_2x3_f3_obj()
+    leaky["H"]["data"] = [0] * len(leaky["H"]["data"])
+    Path("leaky.json").write_text(json.dumps(leaky))
+    code = 5 if command == "audit" else 0
+    outputs = []
+    for pretty in ([], ["--pretty"]):
+        assert run_cli(*PRETTY_ARGV[command], *pretty) == code
+        written = {f: Path(f).read_text() for f in ("s.json", "t.json") if Path(f).exists()}
+        outputs.append((capsys.readouterr().out, written))
+    (plain, plain_files), (pretty, pretty_files) = outputs
+    assert pretty.count("\n") > 1 and plain.count("\n") == 1
+    assert json.loads(pretty) == json.loads(plain)
+    assert pretty_files.keys() == plain_files.keys()
+    for name, text in pretty_files.items():
+        assert text != plain_files[name]
+        if name == "s.json":  # the pretty scheme file imports to the same scheme
+            assert scheme_to_json(import_scheme(json.loads(text))) == plain_files[name]
+        else:
+            assert json.loads(text) == json.loads(plain_files[name])
 
 
 # ---------------------------------------------------------------------------

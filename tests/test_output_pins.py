@@ -1,13 +1,15 @@
-"""Byte pins of canonical stdout: the rate sweep and audit reports.
+"""Byte pins of canonical outputs: the rate sweep, audit reports, and the
+protocol's simulate report, transcript and attack report.
 
-The audit inputs are fixed scheme documents, not `hsa build` output, so a
-change to the build search leaves these pins alone.  A digest changes only
-when the rate table, the order of the audit's checks or a report layout
-changes.
+The scheme inputs are fixed documents, not `hsa build` output, so a change
+to the build search leaves these pins alone.  A digest changes only when the
+rate table, the order of the audit's checks, the seeded round or a report
+layout changes.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,4 +101,29 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, scheme, code, digest):
         argv = [argv[0], "--scheme", str(path), *argv[1:]]
     assert main(argv) == code
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The protocol commands run in the scheme file's directory with a relative
+# --scheme path, since their stdout and the transcript's scheme_ref repeat it.
+PROTOCOL_PINS = [
+    (["simulate", "--json", "--L", "8", "--seed", "1", "--transcript", "t.json"], None,
+     "2fc9bf2143740b707a9603d99dc4ab2eba225182a424509961c2f26cc23a590e"),
+    (["simulate", "--json", "--L", "8", "--seed", "1", "--transcript", "t.json"], "t.json",
+     "e72bfad48a030cd0fec92dd99784e2cf9bde6237f7d31f8f02f59ff3454702d3"),
+    (["attack", "--json", "--rounds", "5", "--L", "2"], None,
+     "42a3244e234c48dbb842b4dcd7ba030c30bff23dc258c4a232f50adf334dfd2e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, written, digest",
+    PROTOCOL_PINS,
+    ids=["simulate-stdout", "simulate-transcript", "attack-stdout"],
+)
+def test_protocol_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, written, digest):
+    monkeypatch.chdir(tmp_path)
+    Path("scheme.json").write_text(json.dumps(CLEAN))
+    assert main([argv[0], "--scheme", "scheme.json", *argv[1:]]) == 0
+    out = capsys.readouterr().out if written is None else Path(written).read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -265,16 +265,10 @@ def test_audit_walk_matches_condition_matrices(golden_3x2_f17):
                 m = relay_condition_matrix(scheme, relay, tset)
             r = m.rank()
             if r < m.rows:
-                kind = "server" if relay is None else "relay"
-                violations.append(RankViolation(kind, relay, tset, r, m.rows))
+                violations.append(RankViolation(relay, tset, r, m.rows))
         violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
         report = audit(scheme)
-        assert report == AuditReport(
-            relay_ok=not any(v.kind == "relay" for v in violations),
-            server_ok=not any(v.kind == "server" for v in violations),
-            checks_performed=report.checks_performed,
-            violations=tuple(violations),
-        )
+        assert report == AuditReport(report.checks_performed, tuple(violations))
         assert report.checks_performed == sum(1 for _ in _checks(scheme.cfg))
 
 
@@ -303,17 +297,17 @@ def test_audited_matrix_ranks_match_minor_oracle(golden_2x3_f3):
 def test_exact_oracle_2x2_1_relay_and_server():
     scheme = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
     assert scheme.field.q == 5
-    v = exact_independence_check(scheme, "relay", CollusionSet.of([(2, 1)]), relay=1)
+    v = exact_independence_check(scheme, CollusionSet.of([(2, 1)]), relay=1)
     assert v.passed
     assert v.tuples_enumerated == 5 ** 7
-    v = exact_independence_check(scheme, "server", CollusionSet.of([]))
+    v = exact_independence_check(scheme, CollusionSet.of([]))
     assert v.passed
 
 
 def test_exact_oracle_tampered_scheme_yields_witness():
     scheme = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
     tampered = _zeroed_row(scheme, (1, 1))
-    v = exact_independence_check(tampered, "relay", CollusionSet.of([]), relay=1)
+    v = exact_independence_check(tampered, CollusionSet.of([]), relay=1)
     assert not v.passed
     assert v.witness is not None
 
@@ -321,17 +315,35 @@ def test_exact_oracle_tampered_scheme_yields_witness():
 def test_exact_oracle_cap_is_explicit():
     scheme = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
     with pytest.raises(AuditBudgetExceeded):
-        exact_independence_check(scheme, "server", CollusionSet.of([]), cap=100)
+        exact_independence_check(scheme, CollusionSet.of([]), cap=100)
 
 
 def test_exact_oracle_argument_validation():
     scheme = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
-    with pytest.raises(ValueError):
-        exact_independence_check(scheme, "relay", CollusionSet.of([]))
-    with pytest.raises(ValueError):
-        exact_independence_check(scheme, "server", CollusionSet.of([]), relay=1)
-    with pytest.raises(ValueError):
-        exact_independence_check(scheme, "sideways", CollusionSet.of([]))
+    for relay in (0, scheme.cfg.U + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            exact_independence_check(scheme, CollusionSet.of([]), relay=relay)
+
+
+@pytest.mark.parametrize(
+    "tset, match",
+    [
+        (CollusionSet.of([(9, 9)]), "outside the user grid"),
+        (CollusionSet.of([(1, 1), (1, 2), (2, 1)]), "exceeds budget"),
+    ],
+)
+def test_one_validator_serves_every_check(golden_3x2_f17, tset, match):
+    # the two matrix builders and the oracle refuse the same checks alike
+    for check in (
+        lambda: relay_condition_matrix(golden_3x2_f17, 1, tset),
+        lambda: server_condition_matrix(golden_3x2_f17, tset),
+        lambda: exact_independence_check(golden_3x2_f17, tset, cap=0),
+    ):
+        with pytest.raises(ValueError, match=match):
+            check()
+    for relay in (0, golden_3x2_f17.cfg.U + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            relay_condition_matrix(golden_3x2_f17, relay, CollusionSet.of([]))
 
 
 def test_audit_pass_implies_oracle_pass_small():
@@ -339,12 +351,13 @@ def test_audit_pass_implies_oracle_pass_small():
     scheme = build_scheme(HsaConfig(2, 2, 0), q_hint=3)
     assert audit(scheme).passed
     for u in (1, 2):
-        assert exact_independence_check(scheme, "relay", CollusionSet.of([]), relay=u).passed
-    assert exact_independence_check(scheme, "server", CollusionSet.of([])).passed
+        assert exact_independence_check(scheme, CollusionSet.of([]), relay=u).passed
+    assert exact_independence_check(scheme, CollusionSet.of([])).passed
 
 
-def _shannon_conditional_mi(scheme, mode, tset, relay=None):
-    """Float-entropy oracle for I(messages; inputs | conditioning).
+def _shannon_conditional_mi(scheme, tset, relay=None):
+    """Float-entropy oracle for I(messages; inputs | conditioning); the
+    messages are relay ``relay``'s, or the server's when ``relay`` is None.
 
     Independent route: every tuple goes through run_round and the MI comes
     from the plain Shannon formula, not from the library's integer counting.
@@ -362,7 +375,7 @@ def _shannon_conditional_mi(scheme, mode, tset, relay=None):
             keys = [derive_keys(scheme, source)]
             t = run_round(scheme, RoundInputs(W, 1), keys)
             cond = tuple((W[u][0], keys[0].individual[u]) for u in tset)
-            if mode == "relay":
+            if relay is not None:
                 a = tuple(t.X[(relay, v)][0] for v in range(1, cfg.V + 1))
                 c = cond
             else:
@@ -405,8 +418,8 @@ def test_server_only_violation_isolated():
 
     empty = CollusionSet.of([])
     for u in (1, 2, 3):
-        assert exact_independence_check(scheme, "relay", empty, relay=u).passed
-    verdict = exact_independence_check(scheme, "server", empty)
+        assert exact_independence_check(scheme, empty, relay=u).passed
+    verdict = exact_independence_check(scheme, empty)
     assert not verdict.passed and verdict.witness is not None
 
 
@@ -422,17 +435,17 @@ def test_exact_oracle_agrees_with_shannon_mi():
         "external",
     )
     empty = CollusionSet.of([])
-    assert exact_independence_check(clean, "server", empty).passed
-    assert abs(_shannon_conditional_mi(clean, "server", empty)) < 1e-9
-    assert exact_independence_check(clean, "relay", empty, relay=1).passed
-    assert abs(_shannon_conditional_mi(clean, "relay", empty, relay=1)) < 1e-9
+    assert exact_independence_check(clean, empty).passed
+    assert abs(_shannon_conditional_mi(clean, empty)) < 1e-9
+    assert exact_independence_check(clean, empty, relay=1).passed
+    assert abs(_shannon_conditional_mi(clean, empty, relay=1)) < 1e-9
 
     # failing case: the server-leaking scheme has strictly positive MI
     leaky = _single_user_clusters_server_leak()
-    assert not exact_independence_check(leaky, "server", empty).passed
-    assert _shannon_conditional_mi(leaky, "server", empty) > 1e-6
-    assert exact_independence_check(leaky, "relay", empty, relay=1).passed
-    assert abs(_shannon_conditional_mi(leaky, "relay", empty, relay=1)) < 1e-9
+    assert not exact_independence_check(leaky, empty).passed
+    assert _shannon_conditional_mi(leaky, empty) > 1e-6
+    assert exact_independence_check(leaky, empty, relay=1).passed
+    assert abs(_shannon_conditional_mi(leaky, empty, relay=1)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
