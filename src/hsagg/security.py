@@ -25,8 +25,17 @@ Two layers of checking:
   zero conditional mutual information.  For desk-scale fields they are
   decided by enumerating every (input, source-key) tuple and checking the
   count-product identity N(a,b,c) * N(c) == N(a,c) * N(b,c) in exact
-  integers for every cell, which is equivalent to zero conditional MI and
-  involves no floating point.
+  integers, which is equivalent to zero conditional MI and involves no
+  floating point.  The input vectors, the mask vectors and what each
+  observer receives per tuple are tabulated as base-q integer codes once
+  per sweep; each check codes its conditioning value c per tuple and counts
+  all q^(UV + n) tuples into the joint table and its three marginals.  The
+  identity is tested on the joint table's nonzero cells only, which decides
+  it for the whole support product: fix (a, c) with N(a,c) > 0 and sum the
+  identity over the b of its nonzero cells; that gives sum N(b,c) = N(c)
+  over those b, so every b with N(b,c) > 0 has a nonzero cell.  Only a
+  failing check scans the support product in first-seen order, as the
+  witness is the first failing cell, and decodes it back to field values.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -36,6 +45,7 @@ input sum from any zero-row-sum linear scheme.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import AuditBudgetExceeded, CorrectnessViolation
@@ -318,6 +328,132 @@ class IndependenceVerdict:
         }
 
 
+def _code(digits, q: int) -> int:
+    """The base-q integer whose digits, most significant first, are ``digits``."""
+    code = 0
+    for d in digits:
+        code = code * q + d
+    return code
+
+
+def _digits(code: int, q: int, k: int) -> tuple[int, ...]:
+    """The k base-q digits of ``code``, most significant first; undoes ``_code``."""
+    out = [0] * k
+    for i in range(k - 1, -1, -1):
+        code, out[i] = divmod(code, q)
+    return tuple(out)
+
+
+class _Tables:
+    """What the exact oracle enumerates, built once for every check it serves.
+
+    Tuple k of the enumeration is (``inputs[k // len(masks)]``,
+    ``masks[k % len(masks)]``): every input vector w outer and every mask
+    vector z = H N inner, each in ``itertools.product`` order.  ``b[k]`` is
+    the index of that tuple's input and ``seen[relay][k]`` the base-q code of
+    what the observer (relay u, or the server as ``None``) receives from it.
+    """
+
+    def __init__(self, scheme: CoefficientScheme, relays) -> None:
+        cfg = scheme.cfg
+        q = self.q = scheme.field.q
+        self.inputs = list(itertools.product(range(q), repeat=cfg.n_users))
+        users = cfg.users()
+        self.index = {user: i for i, user in enumerate(users)}
+        hrows = [scheme.coefficient_row(*user) for user in users]
+        self.masks = [
+            tuple(sum(h * x for h, x in zip(row, nvec)) % q for row in hrows)
+            for nvec in itertools.product(range(q), repeat=scheme.n_source)
+        ]
+        per_input = len(self.masks)
+        self.b = [i for i in range(len(self.inputs)) for _ in range(per_input)]
+        # A relay sees each cluster member's w + z; the server sees each
+        # cluster's sum of them.
+        clusters = [
+            [self.index[(u, v)] for v in range(1, cfg.V + 1)] for u in range(1, cfg.U + 1)
+        ]
+        self.width = {}
+        self.seen = {}
+        for relay in relays:
+            groups = clusters if relay is None else [(i,) for i in clusters[relay - 1]]
+            self.width[relay] = len(groups)
+            self.seen[relay] = self._observed(groups)
+
+    def _observed(self, groups) -> list[int]:
+        """Per tuple, the code of the sums of w_i + z_i over i in each group, mod q."""
+        q = self.q
+
+        def part(x):
+            return tuple(sum(x[i] for i in g) % q for g in groups)
+
+        z_parts = [part(z) for z in self.masks]
+        return self._per_tuple(
+            [part(w) for w in self.inputs],
+            lambda wp: [_code([(x + y) % q for x, y in zip(wp, zp)], q) for zp in z_parts],
+        )
+
+    def conditioning(self, tset: CollusionSet, server: bool) -> list[int]:
+        """Per tuple, the code of the value c the check conditions on: digits
+        for the total input sum (server only), the colluders' inputs and then
+        their masks."""
+        q, idx = self.q, [self.index[t] for t in tset]
+        c_w = [
+            _code(([sum(w) % q] if server else []) + [w[i] for i in idx], q)
+            for w in self.inputs
+        ]
+        c_z = [_code([z[i] for i in idx], q) for z in self.masks]
+        shift = q ** len(idx)
+        return self._per_tuple(c_w, lambda cw: [cw * shift + cz for cz in c_z])
+
+    def _per_tuple(self, w_keys: list, row) -> list[int]:
+        """Per tuple, ``row(w_keys[i])[j]`` for the tuple (inputs[i], masks[j]);
+        ``row`` is called once per distinct key."""
+        rows = {key: row(key) for key in set(w_keys)}
+        return list(itertools.chain.from_iterable(map(rows.__getitem__, w_keys)))
+
+    def decode(self, tset, relay, c, a, b) -> tuple:
+        """The codes of one cell as (c, a, b) tuples of field values."""
+        k, head = len(tset), int(relay is None)
+        digits = _digits(c, self.q, head + 2 * k)
+        pairs = tuple(zip(digits[head:head + k], digits[head + k:]))
+        return digits[:head] + pairs, _digits(a, self.q, self.width[relay]), self.inputs[b]
+
+
+def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> IndependenceVerdict:
+    """Count every tuple of ``tables`` into the check's contingency table and
+    test the count-product identity on its nonzero cells."""
+    a_codes, b_codes = tables.seen[relay], tables.b
+    c_codes = tables.conditioning(tset, relay is None)
+    n_abc = Counter(zip(a_codes, b_codes, c_codes))
+    n_c = Counter(c_codes)
+    n_ac = Counter(zip(a_codes, c_codes))
+    n_bc = Counter(zip(b_codes, c_codes))
+    total = len(b_codes)
+    if all(n * n_c[c] == n_ac[a, c] * n_bc[b, c] for (a, b, c), n in n_abc.items()):
+        return IndependenceVerdict(True, relay, tset, total)
+
+    # Some cell fails.  The witness is the first failing cell of the support
+    # product, each of c, a and b in first-seen order.
+    a_support: dict = {}
+    for (a, c) in n_ac:
+        a_support.setdefault(c, []).append(a)
+    b_support: dict = {}
+    for (b, c) in n_bc:
+        b_support.setdefault(c, []).append(b)
+    for c, count_c in n_c.items():
+        for a in a_support[c]:
+            ac = n_ac[a, c]
+            for b in b_support[c]:
+                joint = n_abc.get((a, b, c), 0)
+                bc = n_bc[b, c]
+                if joint * count_c != ac * bc:
+                    return IndependenceVerdict(
+                        False, relay, tset, total,
+                        witness=tables.decode(tset, relay, c, a, b) + (joint, count_c, ac, bc),
+                    )
+    raise AssertionError("a nonzero cell fails the identity, so the scan must find a cell")
+
+
 def exact_independence_check(
     scheme: CoefficientScheme,
     tset: CollusionSet,
@@ -332,78 +468,22 @@ def exact_independence_check(
     the input set, given the total input sum and the colluders' inputs and
     masks?
 
-    Enumerates every (W, N) tuple and tests the count-product identity for
-    every cell of the resulting contingency table.  Exact integers only.
+    Builds, for this one observer, the integer-coded tables that
+    ``exact_sweep`` builds once for all of its checks, and decides the check
+    as the sweep does: every one of the q^(UV + n) (W, N) tuples is counted
+    into the contingency table, and the count-product identity is tested on
+    the nonzero cells, which decides it for every cell of the support
+    product (see the module docstring).  Only a failing check scans that
+    product in first-seen order for its first failing cell, the witness,
+    and decodes it to field values.  Exact integers only.
     """
     _check_labels(scheme, tset, relay)
-    cfg = scheme.cfg
-    q = scheme.field.q
-    n_users = cfg.n_users
-    n = scheme.n_source
-    total = q ** (n_users + n)
+    total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
     if total > cap:
         raise AuditBudgetExceeded(
             f"exact check needs {total} tuples, cap is {cap}; refusing to sample"
         )
-
-    users = cfg.users()
-    uidx = {user: i for i, user in enumerate(users)}
-    hrows = [scheme.coefficient_row(*user) for user in users]
-    t_idx = [uidx[t] for t in tset]
-    clusters = [
-        [uidx[(u, v)] for v in range(1, cfg.V + 1)] for u in range(1, cfg.U + 1)
-    ]
-    relay_members = None if relay is None else clusters[relay - 1]
-
-    # Mask vectors for every source draw, in user order.
-    z_table = [
-        tuple(sum(h * nval for h, nval in zip(row, nvec)) % q for row in hrows)
-        for nvec in itertools.product(range(q), repeat=n)
-    ]
-
-    n_abc: dict = {}
-    n_ac: dict = {}
-    n_bc: dict = {}
-    n_c: dict = {}
-    for w in itertools.product(range(q), repeat=n_users):
-        cluster_w = [sum(w[i] for i in cl) % q for cl in clusters]
-        total_w = sum(cluster_w) % q
-        for z in z_table:
-            if relay_members is not None:
-                a = tuple((w[i] + z[i]) % q for i in relay_members)
-                c = tuple((w[i], z[i]) for i in t_idx)
-            else:
-                a = tuple(
-                    (cw + sum(z[i] for i in cl)) % q
-                    for cw, cl in zip(cluster_w, clusters)
-                )
-                c = (total_w,) + tuple((w[i], z[i]) for i in t_idx)
-            n_abc[(a, w, c)] = n_abc.get((a, w, c), 0) + 1
-            n_ac[(a, c)] = n_ac.get((a, c), 0) + 1
-            n_bc[(w, c)] = n_bc.get((w, c), 0) + 1
-            n_c[c] = n_c.get(c, 0) + 1
-
-    # Support lists per conditioning value; zero joint cells with positive
-    # marginals are failures, so iterate the full support product.
-    a_support: dict = {}
-    for (a, c) in n_ac:
-        a_support.setdefault(c, []).append(a)
-    b_support: dict = {}
-    for (b, c) in n_bc:
-        b_support.setdefault(c, []).append(b)
-
-    for c, count_c in n_c.items():
-        for a in a_support[c]:
-            ac = n_ac[(a, c)]
-            for b in b_support[c]:
-                joint = n_abc.get((a, b, c), 0)
-                bc = n_bc[(b, c)]
-                if joint * count_c != ac * bc:
-                    return IndependenceVerdict(
-                        False, relay, tset, total,
-                        witness=(c, a, b, joint, count_c, ac, bc),
-                    )
-    return IndependenceVerdict(True, relay, tset, total)
+    return _decide(_Tables(scheme, [relay]), tset, relay)
 
 
 def exact_sweep(
@@ -413,17 +493,17 @@ def exact_sweep(
 
     ``cap`` bounds the whole sweep: when the planned checks times the
     q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised before
-    anything is enumerated.
+    anything is enumerated.  The tables are built once and shared by every
+    check; each check still counts all q^(UV + n) tuples.
     """
-    tuples = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
-    if _planned_checks(scheme.cfg, cap // tuples) * tuples > cap:
+    cfg = scheme.cfg
+    tuples = scheme.field.q ** (cfg.n_users + scheme.n_source)
+    if _planned_checks(cfg, cap // tuples) * tuples > cap:
         raise AuditBudgetExceeded(
             f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
         )
-    return [
-        exact_independence_check(scheme, tset, relay=relay, cap=cap)
-        for tset, relay in _checks(scheme.cfg)
-    ]
+    tables = _Tables(scheme, [*range(1, cfg.U + 1), None])
+    return [_decide(tables, tset, relay) for tset, relay in _checks(cfg)]
 
 
 def infeasibility_attack(

@@ -1,6 +1,7 @@
 """Rank audits, the exact independence oracle, and the boundary attack."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -15,14 +16,19 @@ from hsagg.schemes import (
     build_baseline,
     build_scheme,
     derive_keys,
+    import_scheme,
 )
 from hsagg.security import (
     AuditReport,
     CollusionSet,
+    IndependenceVerdict,
     RankViolation,
     _checks,
+    _Tables,
+    _planned_checks,
     audit,
     exact_independence_check,
+    exact_sweep,
     infeasibility_attack,
     relay_condition_matrix,
     server_condition_matrix,
@@ -344,6 +350,143 @@ def test_one_validator_serves_every_check(golden_3x2_f17, tset, match):
     for relay in (0, golden_3x2_f17.cfg.U + 1):
         with pytest.raises(ValueError, match="out of range"):
             relay_condition_matrix(golden_3x2_f17, relay, CollusionSet.of([]))
+
+
+def _observations(scheme, tset, relay):
+    """(a, b, c) for every (input, source draw) tuple, inputs outer: a plain
+    loop over the definitions, with no shared tables and no integer codes.
+    a is what relay ``relay`` (or the server, for None) receives, b the input
+    vector and c the conditioning value."""
+    cfg, q = scheme.cfg, scheme.field.q
+    users = cfg.users()
+    hrows = [scheme.coefficient_row(*user) for user in users]
+    masks = [
+        [sum(h * x for h, x in zip(row, nvec)) % q for row in hrows]
+        for nvec in itertools.product(range(q), repeat=scheme.n_source)
+    ]
+    pos = [users.index(t) for t in tset]
+    for w in itertools.product(range(q), repeat=cfg.n_users):
+        for z in masks:
+            x = [(wi + zi) % q for wi, zi in zip(w, z)]
+            cond = tuple((w[i], z[i]) for i in pos)
+            if relay is not None:
+                yield tuple(x[(relay - 1) * cfg.V:relay * cfg.V]), w, cond
+            else:
+                a = tuple(sum(x[u * cfg.V:(u + 1) * cfg.V]) % q for u in range(cfg.U))
+                yield a, w, (sum(w) % q,) + cond
+
+
+def _reference_exact_check(scheme, tset, relay=None) -> IndependenceVerdict:
+    """The oracle as first written: four count dicts updated per tuple, then
+    the identity on every cell of the full support product, each in
+    first-seen order; the first failing cell is the witness."""
+    n_abc, n_ac, n_bc, n_c = {}, {}, {}, {}
+    total = 0
+    for a, b, c in _observations(scheme, tset, relay):
+        total += 1
+        n_abc[(a, b, c)] = n_abc.get((a, b, c), 0) + 1
+        n_ac[(a, c)] = n_ac.get((a, c), 0) + 1
+        n_bc[(b, c)] = n_bc.get((b, c), 0) + 1
+        n_c[c] = n_c.get(c, 0) + 1
+    a_support, b_support = {}, {}
+    for (a, c) in n_ac:
+        a_support.setdefault(c, []).append(a)
+    for (b, c) in n_bc:
+        b_support.setdefault(c, []).append(b)
+    for c, count_c in n_c.items():
+        for a in a_support[c]:
+            for b in b_support[c]:
+                cell = (c, a, b, n_abc.get((a, b, c), 0), count_c, n_ac[(a, c)], n_bc[(b, c)])
+                if cell[3] * count_c != cell[5] * cell[6]:
+                    return IndependenceVerdict(False, relay, tset, total, witness=cell)
+    return IndependenceVerdict(True, relay, tset, total)
+
+
+def _random_oracle_scheme(rng: random.Random, limit: int) -> CoefficientScheme:
+    """A ``_random_scheme`` over F_2, F_3 or F_5 whose exact sweep counts at
+    most ``limit`` tuples, with at most 2*10^4 per check; a zero-sum one is
+    read back through ``import_scheme`` as an external file would be."""
+    while True:
+        scheme = _random_scheme(rng)
+        tuples = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
+        if scheme.field.q <= 5 and tuples <= 2 * 10**4:
+            if _planned_checks(scheme.cfg, limit) * tuples <= limit:
+                break
+    if scheme.has_zero_row_sum():
+        return import_scheme(json.loads(json.dumps(scheme.to_json_obj())))
+    return scheme
+
+
+def test_exact_sweep_matches_reference_oracle():
+    # the integer-coded sweep against the oracle it replaced, witness included
+    rng = random.Random(20261018)
+    failing = set()
+    for _ in range(60):
+        scheme = _random_oracle_scheme(rng, 2 * 10**4)
+        expected = [
+            _reference_exact_check(scheme, tset, relay).to_json_obj()
+            for tset, relay in _checks(scheme.cfg)
+        ]
+        assert [v.to_json_obj() for v in exact_sweep(scheme)] == expected
+        failing.update(
+            (v["mode"], bool(v["collusion"])) for v in expected if not v["passed"]
+        )
+    # every shape of witness was compared: with and without colluders, both modes
+    assert failing == {(mode, t) for mode in ("relay", "server") for t in (False, True)}
+
+
+def test_exact_witness_counts_recount():
+    # every failing verdict names a cell whose four counts a plain recount
+    # over all (w, z) reproduces, and where the identity fails
+    rng = random.Random(7)
+    witnesses = 0
+    for _ in range(30):
+        scheme = _random_oracle_scheme(rng, 10**4)
+        for v in exact_sweep(scheme):
+            if v.passed:
+                continue
+            c, a, b, n_abc, n_c, n_ac, n_bc = v.witness
+            counts = [0, 0, 0, 0]
+            for x, y, z in _observations(scheme, v.collusion, v.relay):
+                if z == c:
+                    counts[1] += 1
+                    counts[2] += x == a
+                    counts[3] += y == b
+                    counts[0] += x == a and y == b
+            assert counts == [n_abc, n_c, n_ac, n_bc]
+            assert n_abc * n_c != n_ac * n_bc
+            witnesses += 1
+    assert witnesses
+
+
+def test_exact_codes_decode_to_observations():
+    # tuple by tuple, the integer codes decode to what the definitions give;
+    # every witness of a linear scheme is the all-zero cell, so this is what
+    # pins the digit order of the decode
+    rng = random.Random(11)
+    for _ in range(20):
+        scheme = _random_oracle_scheme(rng, 10**4)
+        tables = _Tables(scheme, [*range(1, scheme.cfg.U + 1), None])
+        for tset, relay in _checks(scheme.cfg):
+            codes = zip(
+                tables.conditioning(tset, relay is None), tables.seen[relay], tables.b
+            )
+            plain = _observations(scheme, tset, relay)
+            for code, (a, b, c) in itertools.zip_longest(codes, plain):
+                assert tables.decode(tset, relay, *code) == (c, a, b)
+
+
+def test_exact_sweep_equals_single_checks(golden_2x3_f3):
+    # the tables shared by a sweep and those built for one check agree
+    built = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
+    for scheme in (built, golden_2x3_f3):
+        for subject, clean in ((scheme, True), (_zeroed_row(scheme, (1, 1)), False)):
+            sweep = exact_sweep(subject)
+            assert sweep == [
+                exact_independence_check(subject, tset, relay=relay)
+                for tset, relay in _checks(subject.cfg)
+            ]
+            assert all(v.passed for v in sweep) == clean
 
 
 def test_audit_pass_implies_oracle_pass_small():
