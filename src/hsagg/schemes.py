@@ -210,6 +210,8 @@ def search_gamma(cfg: HsaConfig, field: FieldSpec) -> int | None:
 
 def _first_prime(q_hint: int | None, default: int) -> int:
     """Smallest prime >= q_hint, or >= default without a hint."""
+    if q_hint is not None and q_hint < 2:
+        raise ConfigurationError(f"q must be at least 2, got {q_hint}")
     try:
         return next_prime(q_hint if q_hint is not None else default)
     except ValueError as exc:  # the hint lies beyond the primality test's bound
@@ -318,6 +320,14 @@ def _parse_user_label(label: str) -> tuple[int, int]:
     return user
 
 
+def _require_zero_row_sum(H: FqMatrix) -> None:
+    """Raise CorrectnessViolation unless every column of H sums to zero."""
+    if any(H.column_sums()):
+        raise CorrectnessViolation(
+            "coefficient rows do not sum to zero; the masks cannot cancel"
+        )
+
+
 def import_scheme(obj: dict) -> CoefficientScheme:
     """Validate a scheme document and return the in-memory scheme.
 
@@ -364,10 +374,7 @@ def import_scheme(obj: dict) -> CoefficientScheme:
     if sorted(row_index.values()) != list(range(cfg.n_users)):
         raise SchemeFormatError("row_index rows must be a permutation of 0..UV-1")
 
-    if any(s != 0 for s in H.column_sums()):
-        raise CorrectnessViolation(
-            "coefficient rows do not sum to zero; the masks cannot cancel"
-        )
+    _require_zero_row_sum(H)
 
     kind = obj.get("kind", KIND_EXTERNAL)
     if kind not in _KINDS:

@@ -12,14 +12,18 @@ Two layers of checking:
   weaken a universally quantified guarantee, so the audit either runs the
   full enumeration or refuses with a budget error.  The audit does not
   eliminate each matrix: it walks the collusion sets depth-first, users
-  ascending, and carries one echelon basis per relay (its cluster plus the
-  colluders) and one for the server (the kept cluster sums plus the
-  colluders).  Adding a colluder reduces one row against each basis; only
-  when it completes a cluster, so that the kept sums change, is the server
-  basis spanned again.  The reduction is ``fields._extend``, the package's
-  one row reduction, which ``FqMatrix.rank`` also reads its rank from; this
-  module defines none of its own.  The condition-matrix builders below stay
-  as the per-check oracle the tests compare the walk with.
+  ascending, and carries U + 1 echelon bases, one per relay (its cluster
+  plus the colluders) and one for the server (the sums of clusters 1..U-1
+  plus the colluders).  Adding a colluder reduces its row against every
+  basis but its own cluster's, and returning pops what it added.  The
+  server basis needs no other care because the audit requires rows that
+  sum to zero: a covered cluster's sum lies in the colluders' span and the
+  last uncovered cluster's sum is minus the others, so the server basis
+  spans the server matrix's rows for every collusion set.  The reduction is
+  ``fields._extend``, the package's one row reduction, which
+  ``FqMatrix.rank`` also reads its rank from; this module defines none of
+  its own.  The condition-matrix builders below stay as the per-check
+  oracle the tests compare the walk with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
@@ -33,9 +37,11 @@ Two layers of checking:
   identity is tested on the joint table's nonzero cells only, which decides
   it for the whole support product: fix (a, c) with N(a,c) > 0 and sum the
   identity over the b of its nonzero cells; that gives sum N(b,c) = N(c)
-  over those b, so every b with N(b,c) > 0 has a nonzero cell.  Only a
-  failing check scans the support product in first-seen order, as the
-  witness is the first failing cell, and decodes it back to field values.
+  over those b, so every b with N(b,c) > 0 has a nonzero cell.  Every
+  observation is linear in (w, z), so a check that fails anywhere fails at
+  the cell of the all-zero tuple; a failing check reports that cell, the
+  first of the support product in first-seen order, decoded back to field
+  values.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -52,7 +58,7 @@ from .errors import AuditBudgetExceeded, CorrectnessViolation
 from .fields import FqMatrix, _extend, _span
 from .protocol import RoundTranscript
 from .rates import HsaConfig
-from .schemes import CoefficientScheme
+from .schemes import CoefficientScheme, _require_zero_row_sum
 
 __all__ = [
     "CollusionSet",
@@ -241,13 +247,18 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
     Enumerates all violations, not just the first, in a canonical order so
     reports are identical across runs.  The collusion sets are walked as a
     prefix tree, users ascending, and each step adds one colluder's row to
-    the echelon bases the ranks are read from: per relay u, a basis of
-    cluster u and the colluders; for the server, a basis of the kept cluster
-    sums and the colluders.  When a step covers a whole cluster, the kept
-    sums change and the server basis is spanned again.  The ranks equal those
-    of ``relay_condition_matrix`` and ``server_condition_matrix``, which stay
-    as the per-check oracle.
+    the U + 1 echelon bases the ranks are read from, and takes it out again
+    on return: ``bases[u]`` spans cluster u and the colluders, ``bases[U]``,
+    the server's, the sums of clusters 1..U-1 and the colluders.  The latter
+    spans the rows of ``server_condition_matrix`` because the coefficient
+    rows sum to zero: a covered cluster's sum lies in the colluders' span,
+    and the last uncovered cluster's sum is minus the others.  That zero row
+    sum is therefore a precondition, and a scheme without it raises
+    CorrectnessViolation before anything is enumerated.  The ranks equal
+    those of ``relay_condition_matrix`` and ``server_condition_matrix``,
+    which stay as the per-check oracle.
     """
+    _require_zero_row_sum(scheme.H)
     cfg = scheme.cfg
     checks = _planned_checks(cfg, budget)
     if checks > budget:
@@ -260,26 +271,23 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
 
     q, U, V, users = scheme.field.q, cfg.U, cfg.V, cfg.users()
     rows = [scheme.coefficient_row(*user) for user in users]
-    sums = [_cluster_sum_row(scheme, u) for u in range(1, U + 1)]
-    relay_bases = [_span(rows[u * V:(u + 1) * V], q) for u in range(U)]
+    bases = [_span(rows[u * V:(u + 1) * V], q) for u in range(U)]
+    bases.append(_span([_cluster_sum_row(scheme, u) for u in range(1, U)], q))
     covered = [0] * U  # colluders per cluster
     members: list[int] = []
     violations: list[RankViolation] = []
 
-    def kept() -> list[int]:
-        """The clusters whose sums the server matrix stacks: all uncovered but the last."""
-        return [u for u in range(U) if covered[u] < V][:-1]
-
-    def visit(server_basis: list) -> None:
+    def visit() -> None:
         size = len(members)
         leaks = []
-        for u, basis in enumerate(relay_bases):
+        for u in range(U):
             required = V - covered[u] + size
-            if len(basis) < required:
-                leaks.append((u + 1, len(basis), required))
-        required = len(kept()) + size
-        if len(server_basis) < required:
-            leaks.append((None, len(server_basis), required))
+            if len(bases[u]) < required:
+                leaks.append((u + 1, len(bases[u]), required))
+        # the server matrix stacks the sums of all uncovered clusters but the last
+        required = max(U - covered.count(V) - 1, 0) + size
+        if len(bases[U]) < required:
+            leaks.append((None, len(bases[U]), required))
         if leaks:
             tset = CollusionSet(tuple(users[j] for j in members))
             violations.extend(RankViolation(r, tset, o, n) for r, o, n in leaks)
@@ -288,22 +296,16 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
         for j in range(members[-1] + 1 if members else 0, len(users)):
             row, own = rows[j], j // V
             # cluster own's basis already holds row j
-            grown = [u for u in range(U) if u != own and _extend(relay_bases[u], row, q)]
+            grown = [b for u, b in enumerate(bases) if u != own and _extend(b, row, q)]
             members.append(j)
             covered[own] += 1
-            if covered[own] == V:  # the kept sums change: span the server basis anew
-                visit(_span([sums[u] for u in kept()] + [rows[i] for i in members], q))
-            else:
-                grew = _extend(server_basis, row, q)
-                visit(server_basis)
-                if grew:
-                    server_basis.pop()
+            visit()
             covered[own] -= 1
             members.pop()
-            for u in grown:
-                relay_bases[u].pop()
+            for basis in grown:
+                basis.pop()
 
-    visit(_span([sums[u] for u in kept()], q))
+    visit()
     violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
     return AuditReport(checks, tuple(violations))
 
@@ -314,7 +316,7 @@ class IndependenceVerdict:
     relay: int | None  # None for the server
     collusion: CollusionSet
     tuples_enumerated: int
-    # (c, a, b, N_abc, N_c, N_ac, N_bc) for the first failing cell
+    # (c, a, b, N_abc, N_c, N_ac, N_bc) for the failing all-zero cell
     witness: tuple | None = None
 
     def to_json_obj(self) -> dict:
@@ -432,26 +434,15 @@ def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> Independe
     if all(n * n_c[c] == n_ac[a, c] * n_bc[b, c] for (a, b, c), n in n_abc.items()):
         return IndependenceVerdict(True, relay, tset, total)
 
-    # Some cell fails.  The witness is the first failing cell of the support
-    # product, each of c, a and b in first-seen order.
-    a_support: dict = {}
-    for (a, c) in n_ac:
-        a_support.setdefault(c, []).append(a)
-    b_support: dict = {}
-    for (b, c) in n_bc:
-        b_support.setdefault(c, []).append(b)
-    for c, count_c in n_c.items():
-        for a in a_support[c]:
-            ac = n_ac[a, c]
-            for b in b_support[c]:
-                joint = n_abc.get((a, b, c), 0)
-                bc = n_bc[b, c]
-                if joint * count_c != ac * bc:
-                    return IndependenceVerdict(
-                        False, relay, tset, total,
-                        witness=tables.decode(tset, relay, c, a, b) + (joint, count_c, ac, bc),
-                    )
-    raise AssertionError("a nonzero cell fails the identity, so the scan must find a cell")
+    # Some cell fails.  Every observation is linear in (w, z), so the cell of
+    # tuple 0, where w = 0 and z = 0, fails too; it is the witness.
+    a, b, c = a_codes[0], b_codes[0], c_codes[0]
+    counts = (n_abc[a, b, c], n_c[c], n_ac[a, c], n_bc[b, c])
+    if counts[0] * counts[1] == counts[2] * counts[3]:
+        raise AssertionError("a failing linear check must fail at the all-zero cell")
+    return IndependenceVerdict(
+        False, relay, tset, total, witness=tables.decode(tset, relay, c, a, b) + counts
+    )
 
 
 def exact_independence_check(
@@ -473,9 +464,9 @@ def exact_independence_check(
     as the sweep does: every one of the q^(UV + n) (W, N) tuples is counted
     into the contingency table, and the count-product identity is tested on
     the nonzero cells, which decides it for every cell of the support
-    product (see the module docstring).  Only a failing check scans that
-    product in first-seen order for its first failing cell, the witness,
-    and decodes it to field values.  Exact integers only.
+    product (see the module docstring).  A failing check reports the cell of
+    the all-zero tuple, where every linear check that fails also fails, as
+    its witness, decoded to field values.  Exact integers only.
     """
     _check_labels(scheme, tset, relay)
     total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)

@@ -303,8 +303,11 @@ def test_criterion_8_audit_soundness_cross_check(exact_security_suite):
         assert clean_report.passed, name
         assert all(v.passed for v in verdicts), name
 
+        # row (1,1) moved onto user (2,2): the columns still sum to zero
         rows = scheme.H.row_list()
-        rows[scheme.row_index[(1, 1)]] = (0,) * scheme.H.cols
+        moved, last = scheme.row_index[(1, 1)], scheme.row_index[(2, 2)]
+        rows[last] = tuple((x + y) % scheme.field.q for x, y in zip(rows[last], rows[moved]))
+        rows[moved] = (0,) * scheme.H.cols
         tampered = CoefficientScheme(
             scheme.params,
             FqMatrix.from_rows(scheme.field, rows),

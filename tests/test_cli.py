@@ -134,6 +134,18 @@ def test_build_q_beyond_primality_bound_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q", ["-7", "0", "1"])
+@pytest.mark.parametrize("extra", [[], ["--baseline"]])
+def test_build_q_below_two_exit_2(tmp_path, capsys, q, extra):
+    out = tmp_path / "s.json"
+    argv = ["build", "--U", "2", "--V", "2", "--T", "1", "--q", q, *extra, "--out", str(out)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q must be at least 2, got {q}\n"
+    assert not out.exists()
+
+
 def test_build_minor_limit_exit_6(tmp_path):
     # C(99, 59) ~ 8.2e27 parity-row minors per (q, gamma): refused before the search
     out = tmp_path / "s.json"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hsagg.errors import AuditBudgetExceeded
+from hsagg.errors import AuditBudgetExceeded, CorrectnessViolation
 from hsagg.fields import FieldSpec, FqMatrix
 from hsagg.protocol import RoundInputs, run_round, sample_round
 from hsagg.rates import HsaConfig
@@ -52,6 +52,18 @@ def _zeroed_row(scheme: CoefficientScheme, user) -> CoefficientScheme:
         FqMatrix.from_rows(scheme.field, rows),
         scheme.row_index,
         "external",
+    )
+
+
+def _moved_row(scheme: CoefficientScheme, user) -> CoefficientScheme:
+    """``_zeroed_row`` with the zeroed row added to user (U, V)'s, so the
+    columns still sum to zero."""
+    last = scheme.row_index[(scheme.cfg.U, scheme.cfg.V)]
+    moved = scheme.coefficient_row(*user)
+    rows = _zeroed_row(scheme, user).H.row_list()
+    rows[last] = tuple((x + y) % scheme.field.q for x, y in zip(rows[last], moved))
+    return CoefficientScheme(
+        scheme.params, FqMatrix.from_rows(scheme.field, rows), scheme.row_index, "external"
     )
 
 
@@ -213,7 +225,7 @@ def test_audit_forced_scheme_reports_boundary_violation():
 
 
 def test_audit_reports_are_canonical(golden_3x2_f17):
-    tampered = _zeroed_row(golden_3x2_f17, (1, 1))
+    tampered = _moved_row(golden_3x2_f17, (1, 1))
     r1, r2 = audit(tampered), audit(tampered)
     assert r1 == r2
     assert [v.to_json_obj() for v in r1.violations] == [
@@ -222,6 +234,11 @@ def test_audit_reports_are_canonical(golden_3x2_f17):
     assert r1.violations == tuple(
         sorted(r1.violations, key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
     )
+
+
+def test_audit_refuses_non_zero_sum_scheme(golden_3x2_f17):
+    with pytest.raises(CorrectnessViolation, match="do not sum to zero"):
+        audit(_zeroed_row(golden_3x2_f17, (1, 1)))
 
 
 def test_audit_budget_is_explicit(golden_3x2_f17):
@@ -260,8 +277,15 @@ def _random_scheme(rng: random.Random) -> CoefficientScheme:
 def test_audit_walk_matches_condition_matrices(golden_3x2_f17):
     # the audit's walk against one elimination of each condition matrix
     rng = random.Random(20240517)
-    schemes = [_random_scheme(rng) for _ in range(150)]
-    schemes += [golden_3x2_f17, _zeroed_row(golden_3x2_f17, (2, 1))]
+    schemes = []
+    while len(schemes) < 150:
+        scheme = _random_scheme(rng)
+        if scheme.has_zero_row_sum():
+            schemes.append(scheme)
+        else:  # the server basis assumes the zero row sum
+            with pytest.raises(CorrectnessViolation):
+                audit(scheme)
+    schemes += [golden_3x2_f17, _moved_row(golden_3x2_f17, (2, 1))]
     for scheme in schemes:
         violations = []
         for tset, relay in _checks(scheme.cfg):
