@@ -58,7 +58,9 @@ def _report(args, obj, text: str, out: str | None = None) -> None:
 def _load_scheme(path: str) -> schemes.CoefficientScheme:
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bytes that do not decode and integers past
+    # the int-string limit; RecursionError, nesting past the recursion limit.
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemeFormatError(f"cannot read scheme file {path}: {exc}") from exc
     return schemes.import_scheme(obj)
 

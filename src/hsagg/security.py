@@ -11,19 +11,12 @@ Two layers of checking:
   makes it dependent) on the colluders' rows.  Sampling would silently
   weaken a universally quantified guarantee, so the audit either runs the
   full enumeration or refuses with a budget error.  The audit does not
-  eliminate each matrix: it walks the collusion sets depth-first, users
-  ascending, and carries U + 1 echelon bases, one per relay (its cluster
-  plus the colluders) and one for the server (the sums of clusters 1..U-1
-  plus the colluders).  Adding a colluder reduces its row against every
-  basis but its own cluster's, and returning pops what it added.  The
-  server basis needs no other care because the audit requires rows that
-  sum to zero: a covered cluster's sum lies in the colluders' span and the
-  last uncovered cluster's sum is minus the others, so the server basis
-  spans the server matrix's rows for every collusion set.  The reduction is
-  ``fields._extend``, the package's one row reduction, which
-  ``FqMatrix.rank`` also reads its rank from; this module defines none of
-  its own.  The condition-matrix builders below stay as the per-check
-  oracle the tests compare the walk with.
+  eliminate each matrix: one depth-first walk over the collusion sets,
+  ``_violations``, carries U + 1 echelon bases and grows them one colluder
+  row at a time with ``fields._extend``, the package's one row reduction,
+  which ``FqMatrix.rank`` also reads its rank from; this module defines
+  none of its own.  The condition-matrix builders below stay as the
+  per-check oracle the tests compare the walk with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
@@ -53,6 +46,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import AuditBudgetExceeded, CorrectnessViolation
 from .fields import FqMatrix, _extend, _span
@@ -77,8 +71,8 @@ __all__ = [
 
 DEFAULT_RANK_BUDGET = 10**6
 DEFAULT_ENUMERATION_CAP = 10**7
-# The audit recurses once per colluder.  Sets of up to d colluders number at
-# least 2^d, so a deeper walk could never finish under any budget; it is
+# The walk nests one generator per colluder.  Sets of up to d colluders number
+# at least 2^d, so a deeper walk could never finish under any budget; it is
 # refused instead of running into the interpreter's recursion limit.
 _MAX_WALK_DEPTH = 256
 
@@ -241,56 +235,45 @@ def _planned_checks(cfg: HsaConfig, limit: int) -> int:
     return total
 
 
-def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:
-    """Exhaustive rank audit over every collusion set of size at most T.
+def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
+    """Yield a RankViolation for each failing check, in walk order.
 
-    Enumerates all violations, not just the first, in a canonical order so
-    reports are identical across runs.  The collusion sets are walked as a
-    prefix tree, users ascending, and each step adds one colluder's row to
-    the U + 1 echelon bases the ranks are read from, and takes it out again
-    on return: ``bases[u]`` spans cluster u and the colluders, ``bases[U]``,
-    the server's, the sums of clusters 1..U-1 and the colluders.  The latter
-    spans the rows of ``server_condition_matrix`` because the coefficient
-    rows sum to zero: a covered cluster's sum lies in the colluders' span,
-    and the last uncovered cluster's sum is minus the others.  That zero row
-    sum is therefore a precondition, and a scheme without it raises
-    CorrectnessViolation before anything is enumerated.  The ranks equal
-    those of ``relay_condition_matrix`` and ``server_condition_matrix``,
-    which stay as the per-check oracle.
+    The collusion sets are walked as a prefix tree, users ascending, and
+    each step adds one colluder's row to the U + 1 echelon bases the ranks
+    are read from, and takes it out again on return: ``bases[u]`` spans
+    cluster u and the colluders, ``bases[U]``, the server's, the sums of
+    clusters 1..U-1 and the colluders.  The latter spans the rows of
+    ``server_condition_matrix`` only because the coefficient rows sum to
+    zero: a covered cluster's sum lies in the colluders' span, and the last
+    uncovered cluster's sum is minus the others.  The depth refusal, the
+    rows and the starting bases are set up on the call, but a node is
+    visited only as the caller reads, so a pass/fail caller stops at the
+    first item: ``next(_violations(scheme), None) is None``.
     """
-    _require_zero_row_sum(scheme.H)
     cfg = scheme.cfg
-    checks = _planned_checks(cfg, budget)
-    if checks > budget:
-        raise AuditBudgetExceeded(f"audit needs more than the budget of {budget} rank checks")
     depth = _set_sizes(cfg)[-1]
     if depth > _MAX_WALK_DEPTH:
         raise AuditBudgetExceeded(
             f"audit needs collusion sets of {depth} users, more than {_MAX_WALK_DEPTH}"
         )
-
     q, U, V, users = scheme.field.q, cfg.U, cfg.V, cfg.users()
     rows = [scheme.coefficient_row(*user) for user in users]
     bases = [_span(rows[u * V:(u + 1) * V], q) for u in range(U)]
     bases.append(_span([_cluster_sum_row(scheme, u) for u in range(1, U)], q))
     covered = [0] * U  # colluders per cluster
     members: list[int] = []
-    violations: list[RankViolation] = []
 
-    def visit() -> None:
+    def visit() -> Iterator[RankViolation]:
         size = len(members)
-        leaks = []
-        for u in range(U):
-            required = V - covered[u] + size
-            if len(bases[u]) < required:
-                leaks.append((u + 1, len(bases[u]), required))
         # the server matrix stacks the sums of all uncovered clusters but the last
-        required = max(U - covered.count(V) - 1, 0) + size
-        if len(bases[U]) < required:
-            leaks.append((None, len(bases[U]), required))
-        if leaks:
-            tset = CollusionSet(tuple(users[j] for j in members))
-            violations.extend(RankViolation(r, tset, o, n) for r, o, n in leaks)
+        kept = max(U - covered.count(V) - 1, 0)
+        tset = None
+        for u, basis in enumerate(bases):
+            required = (V - covered[u] if u < U else kept) + size
+            if len(basis) < required:
+                if tset is None:
+                    tset = CollusionSet(tuple(users[j] for j in members))
+                yield RankViolation(u + 1 if u < U else None, tset, len(basis), required)
         if size == depth:
             return
         for j in range(members[-1] + 1 if members else 0, len(users)):
@@ -299,14 +282,31 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
             grown = [b for u, b in enumerate(bases) if u != own and _extend(b, row, q)]
             members.append(j)
             covered[own] += 1
-            visit()
+            yield from visit()
             covered[own] -= 1
             members.pop()
             for basis in grown:
                 basis.pop()
 
-    visit()
-    violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
+    return visit()
+
+
+def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:
+    """Exhaustive rank audit over every collusion set of size at most T.
+
+    Reports every violation ``_violations`` yields in a canonical order:
+    relay violations by relay id, then server ones, each group by member
+    tuple.  The walk needs rows that sum to zero, so a scheme without that
+    raises CorrectnessViolation, and one whose checks exceed ``budget``
+    raises AuditBudgetExceeded, before anything is enumerated.
+    """
+    _require_zero_row_sum(scheme.H)
+    checks = _planned_checks(scheme.cfg, budget)
+    if checks > budget:
+        raise AuditBudgetExceeded(f"audit needs more than the budget of {budget} rank checks")
+    violations = sorted(
+        _violations(scheme), key=lambda v: (v.kind, v.relay or 0, v.collusion.members)
+    )
     return AuditReport(checks, tuple(violations))
 
 

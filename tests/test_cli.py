@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from hsagg.cli import main
-from hsagg.schemes import import_scheme, scheme_to_json
+from hsagg.rates import HsaConfig
+from hsagg.schemes import build_baseline, build_scheme, import_scheme, scheme_to_json
 
 from conftest import golden_2x3_f3_obj, golden_3x2_f17_obj
 
@@ -223,6 +224,36 @@ def test_simulate_unreadable_file(tmp_path):
     assert run_cli("simulate", "--scheme", str(path)) == 4
 
 
+# Bytes that are not UTF-8, nesting past the recursion limit, and an integer
+# past the int-string limit: each must be refused as a malformed file.
+HOSTILE_FILES = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 100000,
+    "long-integer": b'{"U": ' + b"9" * 4301 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate", "attack"])
+@pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES.keys())
+def test_hostile_scheme_file_exit_4(tmp_path, capsys, command, content):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    assert run_cli(command, "--scheme", str(path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: cannot read scheme file {path}: ")
+
+
+def test_hostile_scheme_file_process_prints_one_line(tmp_path):
+    (tmp_path / "hostile.json").write_bytes(HOSTILE_FILES["deep-nesting"])
+    proc = run_process(["-m", "hsagg.cli", "audit", "--scheme", "hostile.json"], tmp_path, 60)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read scheme file hostile.json: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -251,6 +282,18 @@ def test_audit_insecure_scheme_exit_5(tmp_path, capsys):
 def test_audit_budget_exit_6(golden_f17_file, capsys):
     assert run_cli("audit", "--scheme", golden_f17_file, "--budget", "3") == 6
     assert "budget" in capsys.readouterr().err
+
+
+def test_audit_walk_past_the_depth_limit_exit_6(tmp_path, capsys):
+    scheme = build_baseline(HsaConfig(2, 129, 257), force_infeasible=True)
+    path = tmp_path / "deep.json"
+    path.write_text(scheme_to_json(scheme))
+    assert run_cli("audit", "--scheme", str(path), "--budget", str(10**200)) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: audit needs collusion sets of 257 users, more than 256\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--q-cap"])
@@ -521,3 +564,20 @@ def test_bench_tracer_finds_every_wrapped_name(tmp_path):
     tracer = ROOT / "bench" / "tracer.py"
     proc = run_process([str(tracer), str(spec), str(tmp_path / "out.json")], tmp_path, 60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_runs_an_audit(tmp_path):
+    # one traced command: the wrapped audit must be the one the CLI calls
+    scheme = build_scheme(HsaConfig(2, 2, 1))
+    (tmp_path / "scheme.json").write_text(scheme_to_json(scheme))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"commands": [
+        {"argv": ["audit", "--scheme", "scheme.json"], "cwd": str(tmp_path)},
+    ]}))
+    out = tmp_path / "out.json"
+    tracer = ROOT / "bench" / "tracer.py"
+    proc = run_process([str(tracer), str(spec), str(out)], tmp_path, 60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert [c["exit"] for c in result["commands"]] == [0]
+    assert result["stats"]["security.audit"][0] == 1

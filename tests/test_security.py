@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hsagg import security
 from hsagg.errors import AuditBudgetExceeded, CorrectnessViolation
 from hsagg.fields import FieldSpec, FqMatrix
 from hsagg.protocol import RoundInputs, run_round, sample_round
@@ -26,6 +27,7 @@ from hsagg.security import (
     _checks,
     _Tables,
     _planned_checks,
+    _violations,
     audit,
     exact_independence_check,
     exact_sweep,
@@ -300,6 +302,47 @@ def test_audit_walk_matches_condition_matrices(golden_3x2_f17):
         report = audit(scheme)
         assert report == AuditReport(report.checks_performed, tuple(violations))
         assert report.checks_performed == sum(1 for _ in _checks(scheme.cfg))
+
+
+def test_first_violation_is_read_before_any_extension(golden_2x3_f3, monkeypatch):
+    # the empty set already leaks, so the walk yields before adding a colluder
+    zero = CoefficientScheme(
+        golden_2x3_f3.params,
+        FqMatrix(6, 4, (0,) * 24, golden_2x3_f3.field),
+        golden_2x3_f3.row_index,
+        "external",
+    )
+    calls = []
+    extend = security._extend
+    monkeypatch.setattr(security, "_extend", lambda *a: calls.append(a) or extend(*a))
+    assert next(_violations(zero)) == RankViolation(1, CollusionSet(()), 0, 3)
+    assert calls == []
+
+
+def test_first_violation_decides_pass_fail():
+    from test_output_pins import VANDERMONDE_434
+
+    rng = random.Random(20240517)  # the draws of the walk test above
+    schemes = [import_scheme(VANDERMONDE_434)]
+    while len(schemes) < 151:
+        scheme = _random_scheme(rng)
+        if scheme.has_zero_row_sum():
+            schemes.append(scheme)
+    verdicts = [next(_violations(s), None) is None for s in schemes]
+    assert verdicts == [audit(s).passed for s in schemes]
+    assert True in verdicts and False in verdicts
+
+
+def test_audit_refuses_a_walk_past_the_depth_limit():
+    deep = build_baseline(HsaConfig(2, 129, 257), force_infeasible=True)
+    with pytest.raises(AuditBudgetExceeded, match="more than 256"):
+        audit(deep, budget=10**200)
+
+
+def test_walk_reaches_the_depth_limit():
+    # 256 nested generators, one per colluder, stay inside the recursion limit
+    scheme = build_baseline(HsaConfig(2, 128, 256), force_infeasible=True)
+    assert any(len(v.collusion) == 256 for v in _violations(scheme))
 
 
 def test_audited_matrix_ranks_match_minor_oracle(golden_2x3_f3):
