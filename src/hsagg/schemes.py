@@ -1,15 +1,16 @@
 """Construction, persistence and validation of key-coefficient schemes.
 
 A scheme is a UV x n coefficient matrix H over a prime field together with
-an assignment of matrix rows to users.  Every user's mask is the inner
-product of its row with the pool of n i.i.d. source symbols; the rows sum
-to the zero vector so the masks cancel during aggregation.
+an assignment of matrix rows to users; the field and n are read from H.
+Every user's mask is the inner product of its row with the pool of n
+i.i.d. source symbols; the rows sum to the zero vector so the masks cancel
+during aggregation.
 
 The optimal construction takes H as a Vandermonde matrix on UV - 1
 geometrically spaced nodes (x_0 = 0, x_{i+1} - x_i = gamma^{i+1}) plus a
 parity row, searched over (q, gamma) until every n x n submatrix is
 certifiably nonsingular.  The search is deterministic: smallest valid q
-first, then smallest valid gamma.
+first, then smallest valid gamma; the nodes are recomputed from gamma.
 """
 
 from __future__ import annotations
@@ -65,18 +66,15 @@ _MINOR_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Everything needed to reconstruct a scheme deterministically.
+    """What H cannot say about a scheme: its configuration and node spacing.
 
-    gamma and elements are populated only for the extended-Vandermonde
-    construction; imported and baseline schemes carry what their documents
-    declare.
+    gamma spaces the extended-Vandermonde nodes, which ``build_elements``
+    recomputes from it; other kinds keep what their documents declare.  The
+    field and the width n live in H.
     """
 
     cfg: HsaConfig
-    field: FieldSpec
     gamma: int | None
-    elements: tuple[int, ...] | None
-    n_source: int
 
 
 @dataclass(frozen=True)
@@ -95,11 +93,11 @@ class CoefficientScheme:
 
     @property
     def field(self) -> FieldSpec:
-        return self.params.field
+        return self.H.field
 
     @property
     def n_source(self) -> int:
-        return self.params.n_source
+        return self.H.cols
 
     def coefficient_row(self, u: int, v: int) -> tuple[int, ...]:
         return self.H.row(self.row_index[(u, v)])
@@ -108,15 +106,17 @@ class CoefficientScheme:
         return all(s == 0 for s in self.H.column_sums())
 
     def to_json_obj(self) -> dict:
-        cfg = self.cfg
+        cfg, gamma = self.cfg, self.params.gamma
+        vandermonde = self.kind == KIND_EXTENDED_VANDERMONDE
+        nodes = build_elements(gamma, cfg.n_users - 1, self.field) if vandermonde else ()
         obj = {
             "U": cfg.U,
             "V": cfg.V,
             "T": cfg.T,
             "q": self.field.q,
-            "gamma": self.params.gamma,
+            "gamma": gamma,
             "kind": self.kind,
-            "elements": list(self.params.elements) if self.params.elements is not None else [],
+            "elements": list(nodes),
             "H": self.H.to_json_obj(),
             "row_index": [
                 [f"{u},{v}", self.row_index[(u, v)]] for (u, v) in cfg.users()
@@ -256,9 +256,8 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
         field = FieldSpec.for_prime(q)
         gamma = search_gamma(cfg, field)
         if gamma is not None:
-            elements = build_elements(gamma, cfg.n_users - 1, field)
-            H = extended_vandermonde(field, elements, n)
-            params = SchemeParams(cfg, field, gamma, elements, n)
+            H = extended_vandermonde(field, build_elements(gamma, cfg.n_users - 1, field), n)
+            params = SchemeParams(cfg, gamma)
             return CoefficientScheme(params, H, _extended_row_index(cfg), KIND_EXTENDED_VANDERMONDE)
         q = next_prime(q + 1)
     raise AuditBudgetExceeded(
@@ -288,9 +287,8 @@ def build_baseline(
     field = FieldSpec.for_prime(_first_prime(q_hint, 3))
     H = _baseline_matrix(field, cfg.n_users)
     row_index = {user: i for i, user in enumerate(cfg.users())}
-    params = SchemeParams(cfg, field, None, None, cfg.n_users - 1)
     return CoefficientScheme(
-        params, H, row_index, KIND_BASELINE, insecure_by_construction=infeasible
+        SchemeParams(cfg, None), H, row_index, KIND_BASELINE, insecure_by_construction=infeasible
     )
 
 
@@ -383,7 +381,8 @@ def import_scheme(obj: dict) -> CoefficientScheme:
     gamma = obj.get("gamma")
     if gamma is not None and type(gamma) is not int:
         raise SchemeFormatError(f"bad gamma value {gamma!r}")
-    elements = None
+    if kind != KIND_EXTENDED_VANDERMONDE and obj.get("elements", []) != []:
+        raise SchemeFormatError(f"{kind} schemes carry no elements")
 
     if kind == KIND_EXTENDED_VANDERMONDE:
         if gamma is None:
@@ -411,8 +410,9 @@ def import_scheme(obj: dict) -> CoefficientScheme:
     insecure = obj.get("insecure_by_construction", False)
     if type(insecure) is not bool:
         raise SchemeFormatError("insecure_by_construction must be a JSON boolean")
-    params = SchemeParams(cfg, field, gamma, elements, H.cols)
-    return CoefficientScheme(params, H, row_index, kind, insecure_by_construction=insecure)
+    return CoefficientScheme(
+        SchemeParams(cfg, gamma), H, row_index, kind, insecure_by_construction=insecure
+    )
 
 
 def scheme_to_json(scheme: CoefficientScheme, pretty: bool = False) -> str:

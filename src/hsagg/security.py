@@ -33,8 +33,7 @@ Two layers of checking:
   over those b, so every b with N(b,c) > 0 has a nonzero cell.  Every
   observation is linear in (w, z), so a check that fails anywhere fails at
   the cell of the all-zero tuple; a failing check reports that cell, the
-  first of the support product in first-seen order, decoded back to field
-  values.
+  first of the support product in first-seen order, written from its shape.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -338,14 +337,6 @@ def _code(digits, q: int) -> int:
     return code
 
 
-def _digits(code: int, q: int, k: int) -> tuple[int, ...]:
-    """The k base-q digits of ``code``, most significant first; undoes ``_code``."""
-    out = [0] * k
-    for i in range(k - 1, -1, -1):
-        code, out[i] = divmod(code, q)
-    return tuple(out)
-
-
 class _Tables:
     """What the exact oracle enumerates, built once for every check it serves.
 
@@ -357,7 +348,7 @@ class _Tables:
     """
 
     def __init__(self, scheme: CoefficientScheme, relays) -> None:
-        cfg = scheme.cfg
+        cfg = self.cfg = scheme.cfg
         q = self.q = scheme.field.q
         self.inputs = list(itertools.product(range(q), repeat=cfg.n_users))
         users = cfg.users()
@@ -374,11 +365,9 @@ class _Tables:
         clusters = [
             [self.index[(u, v)] for v in range(1, cfg.V + 1)] for u in range(1, cfg.U + 1)
         ]
-        self.width = {}
         self.seen = {}
         for relay in relays:
             groups = clusters if relay is None else [(i,) for i in clusters[relay - 1]]
-            self.width[relay] = len(groups)
             self.seen[relay] = self._observed(groups)
 
     def _observed(self, groups) -> list[int]:
@@ -413,13 +402,6 @@ class _Tables:
         rows = {key: row(key) for key in set(w_keys)}
         return list(itertools.chain.from_iterable(map(rows.__getitem__, w_keys)))
 
-    def decode(self, tset, relay, c, a, b) -> tuple:
-        """The codes of one cell as (c, a, b) tuples of field values."""
-        k, head = len(tset), int(relay is None)
-        digits = _digits(c, self.q, head + 2 * k)
-        pairs = tuple(zip(digits[head:head + k], digits[head + k:]))
-        return digits[:head] + pairs, _digits(a, self.q, self.width[relay]), self.inputs[b]
-
 
 def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> IndependenceVerdict:
     """Count every tuple of ``tables`` into the check's contingency table and
@@ -435,14 +417,18 @@ def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> Independe
         return IndependenceVerdict(True, relay, tset, total)
 
     # Some cell fails.  Every observation is linear in (w, z), so the cell of
-    # tuple 0, where w = 0 and z = 0, fails too; it is the witness.
+    # tuple 0, where w = 0 and z = 0, fails too; it is the witness, and its
+    # field values are zeros in the shape of c, a and b.
     a, b, c = a_codes[0], b_codes[0], c_codes[0]
     counts = (n_abc[a, b, c], n_c[c], n_ac[a, c], n_bc[b, c])
     if counts[0] * counts[1] == counts[2] * counts[3]:
         raise AssertionError("a failing linear check must fail at the all-zero cell")
-    return IndependenceVerdict(
-        False, relay, tset, total, witness=tables.decode(tset, relay, c, a, b) + counts
+    cell = (
+        ((0,) if relay is None else ()) + ((0, 0),) * len(tset),  # sum, then (w, z) per colluder
+        (0,) * (tables.cfg.U if relay is None else tables.cfg.V),  # one value per message
+        tables.inputs[0],
     )
+    return IndependenceVerdict(False, relay, tset, total, witness=cell + counts)
 
 
 def exact_independence_check(
@@ -466,7 +452,7 @@ def exact_independence_check(
     the nonzero cells, which decides it for every cell of the support
     product (see the module docstring).  A failing check reports the cell of
     the all-zero tuple, where every linear check that fails also fails, as
-    its witness, decoded to field values.  Exact integers only.
+    its witness, written from its shape.  Exact integers only.
     """
     _check_labels(scheme, tset, relay)
     total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)

@@ -254,6 +254,24 @@ def test_hostile_scheme_file_process_prints_one_line(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def _baseline_2x2_1_obj():
+    return json.loads(scheme_to_json(build_baseline(HsaConfig(2, 2, 1))))
+
+
+# Only extended_vandermonde documents list nodes; any other value is refused
+# rather than dropped, and a long list is not echoed back.
+@pytest.mark.parametrize("command", ["audit", "simulate", "attack"])
+@pytest.mark.parametrize("make", [golden_2x3_f3_obj, _baseline_2x2_1_obj])
+def test_elements_on_other_kinds_exit_4(tmp_path, capsys, command, make):
+    obj = dict(make(), elements=[1, 2, 3] * 1000)
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(command, "--scheme", str(path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {obj['kind']} schemes carry no elements\n"
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

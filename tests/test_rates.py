@@ -129,7 +129,7 @@ def _external_single_column(cfg: HsaConfig, q: int, column: list[int]) -> Coeffi
     field = FieldSpec.for_prime(q)
     H = FqMatrix.from_rows(field, [[x] for x in column])
     return CoefficientScheme(
-        SchemeParams(cfg, field, None, None, 1),
+        SchemeParams(cfg, None),
         H,
         {user: i for i, user in enumerate(cfg.users())},
         "external",
@@ -165,7 +165,7 @@ def test_4x3_0_minimality_spot_check():
         closing = [(-sum(r[j] for r in rows)) % 5 for j in range(2)]
         H = FqMatrix.from_rows(field, rows + [closing])
         candidate = CoefficientScheme(
-            SchemeParams(cfg, field, None, None, 2),
+            SchemeParams(cfg, None),
             H,
             {user: i for i, user in enumerate(cfg.users())},
             "external",

@@ -342,7 +342,8 @@ def _built_2x2_1_obj():
 
 
 # (document, path to the value, replacement): each replacement is a JSON
-# value of the wrong type; none may be coerced.
+# value of the wrong type, or nodes on an external document, which has none;
+# none may be coerced.
 NON_INTEGER_VALUES = [
     (golden_2x3_f3_obj, ("U",), 2.9),
     (golden_2x3_f3_obj, ("V",), True),
@@ -361,6 +362,10 @@ NON_INTEGER_VALUES = [
     (_built_2x2_1_obj, ("gamma",), 2.0),
     (_built_2x2_1_obj, ("elements", 0), "0"),
     (_built_2x2_1_obj, ("elements",), "021"),
+    (golden_2x3_f3_obj, ("elements",), "garbage"),
+    (golden_2x3_f3_obj, ("elements",), [1, 2, 3]),
+    (golden_2x3_f3_obj, ("elements",), {"a": 1}),
+    (golden_2x3_f3_obj, ("elements",), None),
 ]
 
 

@@ -40,9 +40,7 @@ from hsagg.security import (
 def _with_collusion_budget(scheme: CoefficientScheme, T: int) -> CoefficientScheme:
     cfg = scheme.cfg
     new_cfg = HsaConfig(cfg.U, cfg.V, T)
-    params = SchemeParams(
-        new_cfg, scheme.field, scheme.params.gamma, scheme.params.elements, scheme.n_source
-    )
+    params = SchemeParams(new_cfg, scheme.params.gamma)
     return CoefficientScheme(params, scheme.H, scheme.row_index, scheme.kind)
 
 
@@ -269,7 +267,7 @@ def _random_scheme(rng: random.Random) -> CoefficientScheme:
     rng.shuffle(order)
     field = FieldSpec.for_prime(q)
     return CoefficientScheme(
-        SchemeParams(cfg, field, None, None, n),
+        SchemeParams(cfg, None),
         FqMatrix.from_rows(field, rows),
         dict(zip(cfg.users(), order)),
         "external",
@@ -527,9 +525,9 @@ def test_exact_witness_counts_recount():
 
 
 def test_exact_codes_decode_to_observations():
-    # tuple by tuple, the integer codes decode to what the definitions give;
-    # every witness of a linear scheme is the all-zero cell, so this is what
-    # pins the digit order of the decode
+    # tuple by tuple, the integer codes of c, a and b stand one-to-one for
+    # the values the definitions give: two tuples share a code exactly when
+    # they share the value, which is all the counting relies on
     rng = random.Random(11)
     for _ in range(20):
         scheme = _random_oracle_scheme(rng, 10**4)
@@ -539,8 +537,12 @@ def test_exact_codes_decode_to_observations():
                 tables.conditioning(tset, relay is None), tables.seen[relay], tables.b
             )
             plain = _observations(scheme, tset, relay)
+            pairs = [set(), set(), set()]  # (code, value) for c, a and b
             for code, (a, b, c) in itertools.zip_longest(codes, plain):
-                assert tables.decode(tset, relay, *code) == (c, a, b)
+                for seen, pair in zip(pairs, zip(code, (c, a, b))):
+                    seen.add(pair)
+            for seen in pairs:
+                assert len(seen) == len({k for k, _ in seen}) == len({v for _, v in seen})
 
 
 def test_exact_sweep_equals_single_checks(golden_2x3_f3):
@@ -612,7 +614,7 @@ def _single_user_clusters_server_leak() -> CoefficientScheme:
     field = FieldSpec.for_prime(5)
     H = FqMatrix.from_rows(field, [(1, 0), (2, 0), (2, 0)])
     return CoefficientScheme(
-        SchemeParams(cfg, field, None, None, 2),
+        SchemeParams(cfg, None),
         H,
         {user: i for i, user in enumerate(cfg.users())},
         "external",
@@ -639,7 +641,7 @@ def test_exact_oracle_agrees_with_shannon_mi():
     cfg = HsaConfig(2, 2, 0)
     field = FieldSpec.for_prime(5)
     clean = CoefficientScheme(
-        SchemeParams(cfg, field, None, None, 2),
+        SchemeParams(cfg, None),
         FqMatrix.from_rows(field, rows),
         {user: i for i, user in enumerate(cfg.users())},
         "external",
