@@ -94,7 +94,10 @@ def cmd_rates(args) -> int:
         v_range = range(args.V, args.V + 1)
         t_range = range(args.T, args.T + 1)
     rows = rates.rate_table(u_range, v_range, t_range)
-    _report(args, [r.to_json_obj() for r in rows], rates.rate_table_csv(rows), args.out)
+    if args.json:
+        _emit(_dump([r.to_json_obj() for r in rows], args.pretty), args.out)
+    else:
+        _emit(rates.rate_table_csv(rows), args.out)
     return EXIT_OK
 
 

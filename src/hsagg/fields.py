@@ -2,10 +2,12 @@
 
 Residues are canonical integers in ``[0, q)``, matrices are immutable, and
 arithmetic is exact, so there are no tolerance questions anywhere.
-``_extend`` is the package's one row reduction: it grows an echelon basis by
-one row.  The security audit carries such bases through its walk over
-collusion sets, and ``FqMatrix.rank`` and ``FqMatrix.det`` read the rank and
-the determinant off one.  Apart from ``_extend``, which appends to the basis
+``_reduce`` is the package's one row reduction: it reduces a row modulo an
+echelon basis.  ``_extend`` grows such a basis by the residue, and
+``FqMatrix.rank`` and ``FqMatrix.det`` read the rank and the determinant off
+one.  The security audit's walk over collusion sets reduces every row modulo
+its starting bases with it, and adds each colluder as one more reduction
+step of those residuals.  Apart from ``_extend``, which appends to the basis
 it is given, everything here is a pure function of its arguments.
 """
 
@@ -195,27 +197,44 @@ class FqMatrix:
         return cls(rows, cols, entries, field)
 
 
-def _extend(basis: list, row, q: int) -> int:
-    """Append ``row`` to the echelon ``basis`` if it is independent of it.
+def _reduce(basis, row, q: int):
+    """``row`` less its components along the echelon ``basis``.
 
     ``basis`` holds (pivot, row) pairs in insertion order, each row 1 at its
-    pivot and 0 at every earlier pivot, so reducing in that order leaves
-    ``row`` with no component in their span.  Returns the pivot value the
+    pivot and 0 at every earlier pivot, so reducing in that order leaves a
+    residue that is 0 at every pivot, and 0 throughout exactly when ``row``
+    lies in the span.  ``row`` itself is returned when no step changes it.
+    """
+    for p, b in basis:
+        f = row[p]
+        if f:
+            row = [(x - f * y) % q for x, y in zip(row, b)]
+    return row
+
+
+def _pivot_row(row, q: int):
+    """(p, ``row`` scaled to 1 at p) for its first nonzero entry p, or None
+    when ``row`` is zero: the pair an echelon basis holds."""
+    lead = next(filter(None, row), 0)
+    if not lead:
+        return None
+    inv = pow(lead, -1, q)
+    return row.index(lead), [x * inv % q for x in row]
+
+
+def _extend(basis: list, row, q: int) -> int:
+    """Append ``row``'s residue modulo the echelon ``basis`` to it, as a
+    ``_pivot_row``, unless that residue is zero.  Returns the pivot value the
     residue was scaled by, or 0 when ``row`` is dependent and left out.
     """
     if len(basis) == len(row):
         return 0
-    r = list(row)
-    for p, b in basis:
-        f = r[p]
-        if f:
-            r = [(x - f * y) % q for x, y in zip(r, b)]
-    p = next((i for i, x in enumerate(r) if x), None)
-    if p is None:
+    r = _reduce(basis, row, q)
+    pair = _pivot_row(r, q)
+    if pair is None:
         return 0
-    inv = pow(r[p], -1, q)
-    basis.append((p, [x * inv % q for x in r]))
-    return r[p]
+    basis.append(pair)
+    return r[pair[0]]
 
 
 def _span(rows, q: int) -> list:

@@ -13,7 +13,7 @@ source symbols regardless of T.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError, InfeasibleConfiguration
@@ -78,7 +78,7 @@ class RateRow:
 
     def to_json_obj(self) -> dict:
         """Fields in declaration order (the CSV columns); R_Z_sigma is keyed "R_Zsigma"."""
-        return {("R_Zsigma" if k == "R_Z_sigma" else k): v for k, v in asdict(self).items()}
+        return {("R_Zsigma" if k == "R_Z_sigma" else k): v for k, v in vars(self).items()}
 
 
 def optimal_source_rate(cfg: HsaConfig) -> int:

@@ -12,11 +12,12 @@ Two layers of checking:
   weaken a universally quantified guarantee, so the audit either runs the
   full enumeration or refuses with a budget error.  The audit does not
   eliminate each matrix: one depth-first walk over the collusion sets,
-  ``_violations``, carries U + 1 echelon bases and grows them one colluder
-  row at a time with ``fields._extend``, the package's one row reduction,
-  which ``FqMatrix.rank`` also reads its rank from; this module defines
-  none of its own.  The condition-matrix builders below stay as the
-  per-check oracle the tests compare the walk with.
+  ``_violations``, carries per node the ranks of U + 1 echelon bases and,
+  per basis, every user's row reduced modulo it; adding a colluder is one
+  elimination step of those residuals.  Every reduction goes through
+  ``fields._reduce``, the package's one row reduction, which
+  ``FqMatrix.rank`` also uses; this module defines none of its own.  The condition-matrix builders below stay as the per-check
+  oracle the tests compare the walk with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import AuditBudgetExceeded, CorrectnessViolation
-from .fields import FqMatrix, _extend, _span
+from .fields import FqMatrix, _pivot_row, _reduce, _span
 from .protocol import RoundTranscript
 from .rates import HsaConfig
 from .schemes import CoefficientScheme, _require_zero_row_sum
@@ -234,20 +235,33 @@ def _planned_checks(cfg: HsaConfig, limit: int) -> int:
     return total
 
 
+def _stepped(table: list, j: int, q: int) -> list:
+    """``table`` after one elimination step by its nonzero entry j, which
+    leaves its entries after j reduced modulo one more row."""
+    step = (_pivot_row(table[j], q),)
+    return table[:j + 1] + [_reduce(step, r, q) for r in table[j + 1:]]
+
+
 def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
     """Yield a RankViolation for each failing check, in walk order.
 
-    The collusion sets are walked as a prefix tree, users ascending, and
-    each step adds one colluder's row to the U + 1 echelon bases the ranks
-    are read from, and takes it out again on return: ``bases[u]`` spans
-    cluster u and the colluders, ``bases[U]``, the server's, the sums of
-    clusters 1..U-1 and the colluders.  The latter spans the rows of
+    The collusion sets are walked as a prefix tree, users ascending.  The
+    ranks are read off U + 1 echelon bases: ``bases[u]`` spans cluster u and
+    the colluders, ``bases[U]``, the server's, the sums of clusters 1..U-1
+    and the colluders.  The latter spans the rows of
     ``server_condition_matrix`` only because the coefficient rows sum to
     zero: a covered cluster's sum lies in the colluders' span, and the last
-    uncovered cluster's sum is minus the others.  The depth refusal, the
-    rows and the starting bases are set up on the call, but a node is
-    visited only as the caller reads, so a pass/fail caller stops at the
-    first item: ``next(_violations(scheme), None) is None``.
+    uncovered cluster's sum is minus the others.  Past the setup no basis is
+    kept: each node carries, per basis, its rank and a residual table, every
+    user's row reduced modulo the basis (only the users after the node's
+    last colluder are read).  Adding user j raises a rank exactly when j's residual is
+    nonzero, and the child's table is one elimination step of the parent's
+    by that residual.  A zero residual leaves the parent's table to the
+    child, and so does a child at the maximum depth, which reads no table.
+    The depth refusal, the rows and the root's tables are set up on the
+    call, but a node is visited only as the caller reads, so a pass/fail
+    caller stops at the first item: ``next(_violations(scheme), None) is
+    None``.
     """
     cfg = scheme.cfg
     depth = _set_sizes(cfg)[-1]
@@ -262,32 +276,35 @@ def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
     covered = [0] * U  # colluders per cluster
     members: list[int] = []
 
-    def visit() -> Iterator[RankViolation]:
+    def visit(ranks: list[int], tables: list) -> Iterator[RankViolation]:
         size = len(members)
         # the server matrix stacks the sums of all uncovered clusters but the last
         kept = max(U - covered.count(V) - 1, 0)
         tset = None
-        for u, basis in enumerate(bases):
+        for u, rank in enumerate(ranks):
             required = (V - covered[u] if u < U else kept) + size
-            if len(basis) < required:
+            if rank < required:
                 if tset is None:
                     tset = CollusionSet(tuple(users[j] for j in members))
-                yield RankViolation(u + 1 if u < U else None, tset, len(basis), required)
+                yield RankViolation(u + 1 if u < U else None, tset, rank, required)
         if size == depth:
             return
+        deeper = size + 1 < depth  # whether the children's tables are read
         for j in range(members[-1] + 1 if members else 0, len(users)):
-            row, own = rows[j], j // V
-            # cluster own's basis already holds row j
-            grown = [b for u, b in enumerate(bases) if u != own and _extend(b, row, q)]
+            grows = [any(table[j]) for table in tables]
+            child_ranks = [rank + grow for rank, grow in zip(ranks, grows)]
+            child_tables = tables
+            if deeper:
+                child_tables = [
+                    _stepped(table, j, q) if grow else table for table, grow in zip(tables, grows)
+                ]
             members.append(j)
-            covered[own] += 1
-            yield from visit()
-            covered[own] -= 1
+            covered[j // V] += 1
+            yield from visit(child_ranks, child_tables)
+            covered[j // V] -= 1
             members.pop()
-            for basis in grown:
-                basis.pop()
 
-    return visit()
+    return visit([len(b) for b in bases], [[_reduce(b, row, q) for row in rows] for b in bases])
 
 
 def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:

@@ -29,12 +29,13 @@ LEAKY = {
 }
 
 
-def _vandermonde_434(q=23, gamma=2):
-    """The (4, 3, 4) extended-Vandermonde document at (q, gamma), from the node
-    formula: x_0 = 0, x_i = x_(i-1) + gamma^i; n = 7 source symbols; the
-    parity row (negated column sums) belongs to user (4, 3), the Vandermonde
-    rows to the other users in lexicographic order."""
-    U, V, T, n = 4, 3, 4, 7
+def _vandermonde(U, V, T, q, gamma):
+    """The (U, V, T) extended-Vandermonde document at (q, gamma), from the node
+    formula: x_0 = 0, x_i = x_(i-1) + gamma^i; n = max(V + T, min(UV - 1,
+    U + T - 1)) source symbols; the parity row (negated column sums) belongs
+    to user (U, V), the Vandermonde rows to the other users in lexicographic
+    order."""
+    n = max(V + T, min(U * V - 1, U + T - 1))
     xs = [0]
     for i in range(1, U * V - 1):
         xs.append((xs[-1] + pow(gamma, i, q)) % q)
@@ -64,10 +65,14 @@ def _times_unit_triangular(doc):
 
 
 # (4, 3, 4) at (23, 2): its cluster sums leak to the server in 10 collusion sets
-VANDERMONDE_434 = _vandermonde_434()
+VANDERMONDE_434 = _vandermonde(4, 3, 4, 23, 2)
 EXTERNAL_434 = _times_unit_triangular(VANDERMONDE_434)
 # both give one report, so one digest
 AUDIT_434 = "7f9ca8f610f5004cce667c771730dbfbd029da70849677ca9132d97b2daa5a6e"
+# the ladder schemes the build writes for (4, 4, 6) and, from q = 101, (6, 3, 5):
+# 4 and 102 server violations, over 74,465 and 88,312 checks
+VANDERMONDE_446 = _vandermonde(4, 4, 6, 31, 7)
+VANDERMONDE_635 = _vandermonde(6, 3, 5, 103, 8)
 
 SWEEP = ["rates", "--sweep", "U=2..5", "V=1..4", "T=0..12"]
 
@@ -83,6 +88,10 @@ PINS = [
      "814df8ca9a961d790569eeff4b0401dbdbd882f1b95c7b6bdd4a58d0df2f1861"),
     (["audit"], VANDERMONDE_434, 5, AUDIT_434),
     (["audit"], EXTERNAL_434, 5, AUDIT_434),
+    (["audit"], VANDERMONDE_446, 5,
+     "1b1b2fbdf9f9e8a2c51689d7237c9843c6a86698fa687f7fb4b6c48e183adf62"),
+    (["audit"], VANDERMONDE_635, 5,
+     "ef9f90b06c06d99875c8e578516e51ae7ceaef942ac231a4f9d50277487c684c"),
 ]
 
 
@@ -91,7 +100,8 @@ PINS = [
     PINS,
     ids=[
         "rates-csv", "rates-json", "audit-clean", "exact-clean", "audit-leaky", "exact-leaky",
-        "audit-vandermonde-434", "audit-external-434",
+        "audit-vandermonde-434", "audit-external-434", "audit-vandermonde-446",
+        "audit-vandermonde-635",
     ],
 )
 def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, scheme, code, digest):

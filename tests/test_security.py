@@ -302,19 +302,68 @@ def test_audit_walk_matches_condition_matrices(golden_3x2_f17):
         assert report.checks_performed == sum(1 for _ in _checks(scheme.cfg))
 
 
-def test_first_violation_is_read_before_any_extension(golden_2x3_f3, monkeypatch):
-    # the empty set already leaks, so the walk yields before adding a colluder
-    zero = CoefficientScheme(
-        golden_2x3_f3.params,
-        FqMatrix(6, 4, (0,) * 24, golden_2x3_f3.field),
-        golden_2x3_f3.row_index,
-        "external",
+def _replaced_row(scheme: CoefficientScheme, user, row) -> CoefficientScheme:
+    """``scheme`` with ``user``'s row replaced by ``row`` and the change taken
+    from user (U, V)'s row, so the columns still sum to zero."""
+    q, last = scheme.field.q, scheme.row_index[(scheme.cfg.U, scheme.cfg.V)]
+    old = scheme.coefficient_row(*user)
+    rows = scheme.H.row_list()
+    rows[scheme.row_index[user]] = tuple(row)
+    rows[last] = tuple((x + a - b) % q for x, a, b in zip(rows[last], old, row))
+    return CoefficientScheme(
+        scheme.params, FqMatrix.from_rows(scheme.field, rows), scheme.row_index, "external"
     )
+
+
+def _dependent_sums(scheme: CoefficientScheme) -> CoefficientScheme:
+    """``_replaced_row`` of user (U - 1, V), so that cluster U - 1 sums to the
+    sum of clusters 1..U-2."""
+    U, V, q = scheme.cfg.U, scheme.cfg.V, scheme.field.q
+    target = [security._cluster_sum_row(scheme, u) for u in range(1, U - 1)]
+    target += [[-x % q for x in scheme.coefficient_row(U - 1, v)] for v in range(1, V)]
+    return _replaced_row(scheme, (U - 1, V), [sum(col) % q for col in zip(*target)])
+
+
+def test_walk_matches_condition_matrices_from_deficient_starting_spans(golden_3x2_f17):
+    # the walk's root tables are reduced modulo each basis's starting span;
+    # here those spans lose rank to a repeated row, dependent sums or a zero row
+    from test_output_pins import VANDERMONDE_434
+
+    empty = CollusionSet(())
+    for base in (_with_collusion_budget(golden_3x2_f17, 6), import_scheme(VANDERMONDE_434)):
+        U, V = base.cfg.U, base.cfg.V
+        repeated = _replaced_row(base, (1, 2), base.coefficient_row(1, 1))
+        zero = _moved_row(base, (2, 1))
+        every = _dependent_sums(_moved_row(repeated, (2, 1)))
+        for scheme in (repeated, _dependent_sums(base), zero, every):
+            violations = []
+            for tset, relay in _checks(scheme.cfg):
+                if relay is None:
+                    m = server_condition_matrix(scheme, tset)
+                else:
+                    m = relay_condition_matrix(scheme, relay, tset)
+                r = m.rank()
+                if r < m.rows:
+                    violations.append(RankViolation(relay, tset, r, m.rows))
+            violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
+            assert audit(scheme).violations == tuple(violations)
+        assert relay_condition_matrix(every, 1, empty).rank() == V - 1
+        assert relay_condition_matrix(every, 2, empty).rank() == V - 1
+        assert server_condition_matrix(every, empty).rank() == U - 2
+
+
+def test_first_violation_is_read_before_any_extension(golden_2x3_f3, monkeypatch):
+    # cluster 1 has a zero row, so the empty set already leaks and the walk
+    # yields before it adds a colluder; past that item it does add them
+    scheme = _with_collusion_budget(_moved_row(golden_2x3_f3, (1, 2)), 2)
+    walk = _violations(scheme)  # the root's residual tables are built on the call
     calls = []
-    extend = security._extend
-    monkeypatch.setattr(security, "_extend", lambda *a: calls.append(a) or extend(*a))
-    assert next(_violations(zero)) == RankViolation(1, CollusionSet(()), 0, 3)
+    reduce = security._reduce
+    monkeypatch.setattr(security, "_reduce", lambda *a: calls.append(a) or reduce(*a))
+    assert next(walk) == RankViolation(1, CollusionSet(()), 2, 3)
     assert calls == []
+    next(walk)
+    assert calls
 
 
 def test_first_violation_decides_pass_fail():
