@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import protocol, rates, schemes, security
 from .errors import (

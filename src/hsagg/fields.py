@@ -13,8 +13,8 @@ it is given, everything here is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 __all__ = [
     "FieldSpec",
@@ -79,15 +79,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "q")):
     """The prime field F_q."""
 
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
+    def __new__(cls, q: int) -> "FieldSpec":
+        if not is_prime(q):
+            raise ValueError(f"modulus {q} is not prime")
+        return super().__new__(cls, q)
 
     @classmethod
     def for_prime(cls, q: int) -> "FieldSpec":
@@ -99,26 +99,27 @@ class FieldSpec:
         return sum(x * y for x, y in zip(xs, ys)) % self.q
 
 
-@dataclass(frozen=True)
-class FqMatrix:
-    """Immutable dense matrix over F_q with row-major entries."""
+class FqMatrix(namedtuple("FqMatrix", "rows cols entries field")):
+    """Immutable dense matrix over F_q with row-major entries.
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-    field: FieldSpec
+    ``entries`` is a tuple of ints and ``field`` a FieldSpec.  Instances keep
+    a ``__dict__`` (no ``__slots__``) so that callers can tag a matrix with an
+    attribute of their own; the fields themselves cannot be assigned.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(
+        cls, rows: int, cols: int, entries: tuple[int, ...], field: FieldSpec
+    ) -> "FqMatrix":
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        q = self.field.q
-        if any(not 0 <= e < q for e in self.entries):
+        q = field.q
+        if any(not 0 <= e < q for e in entries):
             raise ValueError(f"entries must be canonical residues in [0, {q})")
+        return super().__new__(cls, rows, cols, entries, field)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[int]]) -> "FqMatrix":

@@ -13,7 +13,7 @@ round of length L carries L separate KeyMaterial instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConfigurationError, CorrectnessViolation
 from .schemes import CoefficientScheme, KeyMaterial, derive_keys
@@ -29,35 +29,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RoundInputs:
-    """Private inputs for one round: user -> vector of L residues."""
+class RoundInputs(namedtuple("RoundInputs", "W L seed", defaults=(None,))):
+    """Private inputs for one round: W maps each user to a vector of L residues."""
 
-    W: dict[tuple[int, int], tuple[int, ...]]
-    L: int
-    seed: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RoundTranscript:
-    inputs: RoundInputs
-    keys: tuple[KeyMaterial, ...]
-    X: dict[tuple[int, int], tuple[int, ...]]
-    Y: dict[int, tuple[int, ...]]
-    decoded: tuple[int, ...]
+class RoundTranscript(namedtuple("RoundTranscript", "inputs keys X Y decoded")):
+    """One executed round: the inputs, one KeyMaterial per symbol position,
+    the user messages X (user -> vector), the relay messages Y (relay ->
+    vector) and the decoded sum."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ObservedRates:
+class ObservedRates(namedtuple("ObservedRates", "R_X R_Y R_Z R_Z_sigma")):
     """Symbol counts per input symbol, measured from an actual transcript."""
 
-    R_X: int
-    R_Y: int
-    R_Z: int
-    R_Z_sigma: int
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.R_X, self.R_Y, self.R_Z, self.R_Z_sigma)
+        return tuple(self)
 
 
 def sample_round(

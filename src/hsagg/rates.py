@@ -13,8 +13,8 @@ source symbols regardless of T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import ConfigurationError, InfeasibleConfiguration
 
@@ -31,22 +31,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HsaConfig:
+class HsaConfig(namedtuple("HsaConfig", "U V T")):
     """Network shape: U relays, V users per cluster, collusion budget T."""
 
-    U: int
-    V: int
-    T: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, U: int, V: int, T: int) -> "HsaConfig":
         # A single relay sees the full input sum, so U = 1 is undefined.
-        if self.U < 2:
-            raise ConfigurationError(f"need at least 2 relays, got U={self.U}")
-        if self.V < 1:
-            raise ConfigurationError(f"need at least 1 user per cluster, got V={self.V}")
-        if self.T < 0:
-            raise ConfigurationError(f"collusion budget must be nonnegative, got T={self.T}")
+        if U < 2:
+            raise ConfigurationError(f"need at least 2 relays, got U={U}")
+        if V < 1:
+            raise ConfigurationError(f"need at least 1 user per cluster, got V={V}")
+        if T < 0:
+            raise ConfigurationError(f"collusion budget must be nonnegative, got T={T}")
+        return super().__new__(cls, U, V, T)
 
     @property
     def n_users(self) -> int:
@@ -61,24 +59,20 @@ class HsaConfig:
         return [(u, v) for u in range(1, self.U + 1) for v in range(1, self.V + 1)]
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(
+    namedtuple(
+        "RateRow",
+        "U V T feasible R_X R_Y R_Z R_Z_sigma baseline active_branch",
+        defaults=(None,) * 6,
+    )
+):
     """One rate-table row; every field after ``feasible`` is None when infeasible."""
 
-    U: int
-    V: int
-    T: int
-    feasible: bool
-    R_X: int | None = None
-    R_Y: int | None = None
-    R_Z: int | None = None
-    R_Z_sigma: int | None = None
-    baseline: int | None = None
-    active_branch: str | None = None
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         """Fields in declaration order (the CSV columns); R_Z_sigma is keyed "R_Zsigma"."""
-        return {("R_Zsigma" if k == "R_Z_sigma" else k): v for k, v in vars(self).items()}
+        return {("R_Zsigma" if k == "R_Z_sigma" else k): v for k, v in self._asdict().items()}
 
 
 def optimal_source_rate(cfg: HsaConfig) -> int:
@@ -138,5 +132,5 @@ def rate_table_csv(rows: Iterable[RateRow]) -> str:
         return "" if x is None else str(x)
 
     lines = [RATE_TABLE_HEADER]
-    lines.extend(",".join(cell(x) for x in r.to_json_obj().values()) for r in rows)
+    lines.extend(",".join(cell(x) for x in r) for r in rows)
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ first, then smallest valid gamma; the nodes are recomputed from gamma.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     AuditBudgetExceeded,
@@ -64,28 +64,28 @@ _PRIME_SEARCH_LIMIT = 10**6
 _MINOR_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """What H cannot say about a scheme: its configuration and node spacing.
+class SchemeParams(namedtuple("SchemeParams", "cfg gamma")):
+    """What H cannot say about a scheme: its HsaConfig and node spacing.
 
     gamma spaces the extended-Vandermonde nodes, which ``build_elements``
-    recomputes from it; other kinds keep what their documents declare.  The
-    field and the width n live in H.
+    recomputes from it; other kinds keep what their documents declare, an
+    int or None.  The field and the width n live in H.
     """
 
-    cfg: HsaConfig
-    gamma: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoefficientScheme:
-    """A coefficient matrix H plus the user -> row assignment."""
+class CoefficientScheme(
+    namedtuple(
+        "CoefficientScheme",
+        "params H row_index kind insecure_by_construction",
+        defaults=(False,),
+    )
+):
+    """A coefficient matrix H (an FqMatrix) plus the user -> row assignment
+    ``row_index``, a dict from (u, v) to a row of H."""
 
-    params: SchemeParams
-    H: FqMatrix
-    row_index: dict[tuple[int, int], int]
-    kind: str
-    insecure_by_construction: bool = False
+    __slots__ = ()
 
     @property
     def cfg(self) -> HsaConfig:
@@ -127,12 +127,11 @@ class CoefficientScheme:
         return obj
 
 
-@dataclass(frozen=True)
-class KeyMaterial:
-    """One source key vector and the per-user masks derived from it."""
+class KeyMaterial(namedtuple("KeyMaterial", "source individual")):
+    """One source key vector and the per-user masks derived from it:
+    ``individual`` maps each user (u, v) to its mask."""
 
-    source: tuple[int, ...]
-    individual: dict[tuple[int, int], int]
+    __slots__ = ()
 
 
 def build_elements(gamma: int, count: int, field: FieldSpec) -> tuple[int, ...]:

@@ -44,9 +44,8 @@ input sum from any zero-row-sum linear scheme.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 
 from .errors import AuditBudgetExceeded, CorrectnessViolation
 from .fields import FqMatrix, _pivot_row, _reduce, _span
@@ -77,26 +76,31 @@ DEFAULT_ENUMERATION_CAP = 10**7
 _MAX_WALK_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class CollusionSet:
-    """A canonical (sorted, duplicate-free) set of colluding user labels."""
+class CollusionSet(tuple):
+    """A canonical (sorted, duplicate-free) set of colluding user labels.
 
-    members: tuple[tuple[int, int], ...]
+    The set is the tuple of its (u, v) members, so ``len`` and iteration run
+    over them; ``members`` is the same tuple as a plain ``tuple``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, members) -> "CollusionSet":
+        members = tuple(members)
+        if list(members) != sorted(set(members)):
+            raise ValueError("collusion set must be sorted and duplicate-free")
+        return super().__new__(cls, members)
 
     @classmethod
     def of(cls, users) -> "CollusionSet":
-        members = tuple(sorted(set((int(u), int(v)) for u, v in users)))
-        return cls(members)
+        return cls(sorted(set((int(u), int(v)) for u, v in users)))
 
-    def __post_init__(self) -> None:
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError("collusion set must be sorted and duplicate-free")
+    @property
+    def members(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+    def __repr__(self) -> str:
+        return f"CollusionSet(members={tuple(self)!r})"
 
 
 def _check_labels(
@@ -157,12 +161,12 @@ def server_condition_matrix(scheme: CoefficientScheme, tset: CollusionSet) -> Fq
     return FqMatrix.from_rows(scheme.field, rows)
 
 
-@dataclass(frozen=True)
-class RankViolation:
-    relay: int | None  # None for the server
-    collusion: CollusionSet
-    observed_rank: int
-    required_rank: int
+class RankViolation(
+    namedtuple("RankViolation", "relay collusion observed_rank required_rank")
+):
+    """A failing rank check: ``relay`` is the relay id, None for the server."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -178,10 +182,10 @@ class RankViolation:
         }
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    checks_performed: int
-    violations: tuple[RankViolation, ...]
+class AuditReport(namedtuple("AuditReport", "checks_performed violations")):
+    """The checks an audit made and its tuple of RankViolations."""
+
+    __slots__ = ()
 
     @property
     def relay_ok(self) -> bool:
@@ -326,14 +330,18 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
     return AuditReport(checks, tuple(violations))
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    passed: bool
-    relay: int | None  # None for the server
-    collusion: CollusionSet
-    tuples_enumerated: int
-    # (c, a, b, N_abc, N_c, N_ac, N_bc) for the failing all-zero cell
-    witness: tuple | None = None
+class IndependenceVerdict(
+    namedtuple(
+        "IndependenceVerdict",
+        "passed relay collusion tuples_enumerated witness",
+        defaults=(None,),
+    )
+):
+    """One exact oracle check: ``relay`` is the relay id, None for the
+    server; a failing check's ``witness`` is (c, a, b, N_abc, N_c, N_ac,
+    N_bc) for the all-zero cell, and None otherwise."""
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {

@@ -1,6 +1,8 @@
 """The runtime imports nothing outside the Python standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +26,15 @@ def test_runtime_imports_are_stdlib_only():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S skips site, whose .pth files may preload typing on some hosts, so
+    # what is loaded here is what the package itself imports.
+    probe = "import sys, hsagg.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "hsagg.cli" in out
+    assert [m for m in ("dataclasses", "inspect", "typing") if m in out] == []
