@@ -27,14 +27,11 @@ from .errors import (
 from .fields import (
     FieldSpec,
     FqMatrix,
-    elementary_symmetric,
     extended_vandermonde,
     extended_vandermonde_subdet,
-    generalized_vandermonde_det,
     is_prime,
     next_prime,
     vandermonde,
-    vandermonde_det,
 )
 from .protocol import (
     ObservedRates,

@@ -3,12 +3,11 @@
 Residues are canonical integers in ``[0, q)``, matrices are immutable, and
 arithmetic is exact, so there are no tolerance questions anywhere.
 ``_reduce`` is the package's one row reduction: it reduces a row modulo an
-echelon basis.  ``_extend`` grows such a basis by the residue, and
-``FqMatrix.rank`` and ``FqMatrix.det`` read the rank and the determinant off
-one.  The security audit's walk over collusion sets reduces every row modulo
-its starting bases with it, and adds each colluder as one more reduction
-step of those residuals.  Apart from ``_extend``, which appends to the basis
-it is given, everything here is a pure function of its arguments.
+echelon basis.  ``_span`` builds such a basis from the residues, and
+``FqMatrix.rank`` is its size.  The security audit's walk over collusion
+sets reduces every row modulo its starting bases with it, and adds each
+colluder as one more reduction step of those residuals.  Everything here
+is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ __all__ = [
     "json_int",
     "vandermonde",
     "extended_vandermonde",
-    "vandermonde_det",
-    "elementary_symmetric",
-    "generalized_vandermonde_det",
     "extended_vandermonde_subdet",
 ]
 
@@ -139,10 +135,6 @@ class FqMatrix(namedtuple("FqMatrix", "rows cols entries field")):
     def row_list(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def take_rows(self, indices: Sequence[int]) -> "FqMatrix":
-        """Submatrix of the given rows, in the given order (all columns)."""
-        return FqMatrix.from_rows(self.field, [self.row(i) for i in indices])
-
     def column_sums(self) -> tuple[int, ...]:
         q = self.field.q
         return tuple(
@@ -152,26 +144,6 @@ class FqMatrix(namedtuple("FqMatrix", "rows cols entries field")):
     def rank(self) -> int:
         """Row rank: the size of an echelon basis of the rows."""
         return len(_span(self.row_list(), self.field.q))
-
-    def det(self) -> int:
-        """Exact determinant; the empty 0x0 matrix has determinant 1.
-
-        The product of the pivots of an echelon basis of the rows, signed by
-        the parity of the permutation taking each row to its pivot column.
-        """
-        if self.rows != self.cols:
-            raise ValueError(f"determinant of non-square {self.rows}x{self.cols} matrix")
-        q = self.field.q
-        basis: list = []
-        product = 1
-        for row in self.row_list():
-            pivot = _extend(basis, row, q)
-            if not pivot:
-                return 0
-            product = product * pivot % q
-        cols = [p for p, _ in basis]
-        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-        return -product % q if inversions % 2 else product
 
     def to_json_obj(self) -> dict:
         return {
@@ -223,26 +195,16 @@ def _pivot_row(row, q: int):
     return row.index(lead), [x * inv % q for x in row]
 
 
-def _extend(basis: list, row, q: int) -> int:
-    """Append ``row``'s residue modulo the echelon ``basis`` to it, as a
-    ``_pivot_row``, unless that residue is zero.  Returns the pivot value the
-    residue was scaled by, or 0 when ``row`` is dependent and left out.
-    """
-    if len(basis) == len(row):
-        return 0
-    r = _reduce(basis, row, q)
-    pair = _pivot_row(r, q)
-    if pair is None:
-        return 0
-    basis.append(pair)
-    return r[pair[0]]
-
-
 def _span(rows, q: int) -> list:
-    """An echelon basis of the span of ``rows``."""
+    """An echelon basis of the span of ``rows``: each row's residue modulo
+    the basis so far, as a ``_pivot_row``, unless that residue is zero."""
     basis: list = []
     for row in rows:
-        _extend(basis, row, q)
+        if len(basis) == len(row):
+            break
+        pair = _pivot_row(_reduce(basis, row, q), q)
+        if pair is not None:
+            basis.append(pair)
     return basis
 
 
@@ -265,39 +227,6 @@ def extended_vandermonde(field: FieldSpec, xs: Sequence[int], n: int) -> FqMatri
     return FqMatrix.from_rows(field, [parity, *vm.row_list()])
 
 
-def vandermonde_det(field: FieldSpec, xs: Sequence[int]) -> int:
-    """Product formula: prod_{i<j} (x_j - x_i), so 1 for |xs| <= 1."""
-    q = field.q
-    out = 1
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            out = out * (xs[j] - xs[i]) % q
-    return out
-
-
-def elementary_symmetric(field: FieldSpec, xs: Sequence[int], k: int) -> int:
-    """Degree-k elementary symmetric polynomial of xs; e_0 is the empty product 1."""
-    if not 0 <= k <= len(xs):
-        raise ValueError(f"degree {k} out of range for {len(xs)} elements")
-    q = field.q
-    e = [1] + [0] * k
-    for x in xs:
-        for j in range(min(k, len(e) - 1), 0, -1):
-            e[j] = (e[j] + e[j - 1] * x) % q
-    return e[k]
-
-
-def generalized_vandermonde_det(field: FieldSpec, xs: Sequence[int], powers: Sequence[int]) -> int:
-    """Determinant of [x_i^p_j] for a strictly increasing exponent set."""
-    if len(powers) != len(xs):
-        raise ValueError(f"need {len(xs)} exponents, got {len(powers)}")
-    if any(p < 0 for p in powers) or any(a >= b for a, b in zip(powers, powers[1:])):
-        raise ValueError("exponents must be nonnegative and strictly increasing")
-    q = field.q
-    mat = FqMatrix.from_rows(field, [[pow(x % q, p, q) for p in powers] for x in xs])
-    return mat.det()
-
-
 def extended_vandermonde_subdet(field: FieldSpec, xs: Sequence[int], indices: Sequence[int]) -> int:
     """Closed-form determinant of a parity-row submatrix of extended_vandermonde.
 
@@ -307,10 +236,11 @@ def extended_vandermonde_subdet(field: FieldSpec, xs: Sequence[int], indices: Se
 
         (-1)^n * V(xs[I]) * sum_{i not in I} prod_{j in I} (x_i - x_j)
 
-    evaluated without any elimination, so it can serve as one side of a
-    dual-route check against :meth:`FqMatrix.det`.  The build search does
-    not call it: it certifies by the power-sum walk in ``hsagg.schemes``,
-    and the tests check that walk against this closed form.
+    evaluated without any elimination, so the tests can check it against
+    an elimination determinant of the assembled submatrix.  The build
+    search does not call it: it certifies by the power-sum walk in
+    ``hsagg.schemes``, and the tests check that walk against this closed
+    form.
     """
     m = len(xs)
     idx = sorted(indices)
@@ -330,5 +260,8 @@ def extended_vandermonde_subdet(field: FieldSpec, xs: Sequence[int], indices: Se
         for j in idx:
             p = p * (xs[i] - xs[j]) % q
         total = (total + p) % q
-    sign = pow(-1, n, q)
-    return sign * vandermonde_det(field, chosen) % q * total % q
+    vdm = 1  # V(xs[I]) = prod_{a before b} (b - a)
+    for k, a in enumerate(chosen):
+        for b in chosen[k + 1:]:
+            vdm = vdm * (b - a) % q
+    return pow(-1, n, q) * vdm % q * total % q

@@ -251,6 +251,10 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
                 f"the MDS certificate needs C({m}, {r}) > {_MINOR_LIMIT} minors per (q, gamma)"
             )
     q = _first_prime(q_hint, cfg.n_users + 1)
+    if q > _PRIME_SEARCH_LIMIT:
+        raise AuditBudgetExceeded(
+            f"the starting prime {q} lies above the prime search limit {_PRIME_SEARCH_LIMIT}"
+        )
     while q <= _PRIME_SEARCH_LIMIT:
         field = FieldSpec.for_prime(q)
         gamma = search_gamma(cfg, field)
@@ -394,6 +398,10 @@ def import_scheme(obj: dict) -> CoefficientScheme:
             raise SchemeFormatError("extended_vandermonde schemes need UV-1 distinct nodes")
         if elements != build_elements(gamma, cfg.n_users - 1, field):
             raise SchemeFormatError("nodes do not follow the declared gamma spacing")
+        if H.cols > len(elements):
+            raise SchemeFormatError(
+                f"H has {H.cols} columns, more than the UV-1 = {len(elements)} nodes"
+            )
         if H != extended_vandermonde(field, elements, H.cols):
             raise SchemeFormatError("H does not match the declared node construction")
         if row_index != _extended_row_index(cfg):

@@ -1,8 +1,11 @@
 """Shared fixtures: golden schemes and independent test oracles.
 
-The oracles here deliberately avoid the library's elimination code paths:
-determinants expand by cofactors and rank enumerates square minors.  They
-are slow but independent, which is the point.
+The oracles here deliberately avoid the library's elimination code paths
+and import nothing from ``hsagg.fields``: determinants expand by cofactors
+or come out of a textbook Gauss-Jordan elimination, and rank enumerates
+square minors or counts that elimination's pivots.  The cofactor and minor
+oracles are slow but share no idea with the library's echelon basis, and
+the tests check the elimination against them.
 """
 
 from __future__ import annotations
@@ -44,6 +47,66 @@ def minor_rank(rows: list[list[int]], q: int) -> int:
                 if cofactor_det(sub, q) != 0:
                     return k
     return 0
+
+
+def _gauss_jordan(rows, q: int) -> tuple[int, int]:
+    """(rank, signed product of the pivots) by Gauss-Jordan elimination.
+
+    Column by column, the first row at or below the current pivot row with a
+    nonzero entry is swapped into place (negating the sign), scaled to 1 and
+    used to clear that column in every other row.
+    """
+    a = [[x % q for x in r] for r in rows]
+    rank, det = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        p = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            a[rank], a[p] = a[p], a[rank]
+            det = -det
+        pivot = a[rank][c]
+        det = det * pivot % q
+        inv = pow(pivot, q - 2, q)
+        a[rank] = [x * inv % q for x in a[rank]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != rank and f:
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, det
+
+
+def elim_rank(rows, q: int) -> int:
+    """Rank as the number of Gauss-Jordan pivots."""
+    return _gauss_jordan(rows, q)[0]
+
+
+def elim_det(rows, q: int) -> int:
+    """Determinant by Gauss-Jordan elimination; the 0x0 matrix gives 1."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    rank, det = _gauss_jordan(rows, q)
+    return det if rank == len(rows) else 0
+
+
+def vandermonde_product(xs, q: int) -> int:
+    """prod_{i<j} (x_j - x_i), the Vandermonde determinant; 1 for |xs| <= 1."""
+    out = 1
+    for i, a in enumerate(xs):
+        for b in xs[i + 1 :]:
+            out = out * (b - a) % q
+    return out
+
+
+def elementary_symmetric(xs, k: int, q: int) -> int:
+    """Degree-k elementary symmetric polynomial of xs: the coefficient of
+    t^k in prod (1 + x t); e_0 is 1."""
+    e = [1] + [0] * k
+    for x in xs:
+        for j in range(k, 0, -1):
+            e[j] = (e[j] + e[j - 1] * x) % q
+    return e[k]
 
 
 # ---------------------------------------------------------------------------

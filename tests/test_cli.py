@@ -169,6 +169,20 @@ def test_build_q_beyond_prime_search_limit_exit_6(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_q_above_prime_search_limit_names_the_starting_prime(tmp_path, capsys):
+    # no prime is tried, so the refusal names the start rather than a failed search
+    out = tmp_path / "s.json"
+    assert run_cli(
+        "build", "--U", "3", "--V", "2", "--T", "1", "--q", "2000003", "--out", str(out)
+    ) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the starting prime 2000003 lies above the prime search limit 1000000\n"
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -270,6 +284,25 @@ def test_elements_on_other_kinds_exit_4(tmp_path, capsys, command, make):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {obj['kind']} schemes carry no elements\n"
+
+
+# An extended_vandermonde document whose H is wider than its UV-1 nodes: the
+# width is refused before the node construction is rebuilt.
+WIDE_VANDERMONDE = {
+    "U": 2, "V": 1, "T": 0, "q": 5, "gamma": 2, "kind": "extended_vandermonde",
+    "elements": [0], "H": {"q": 5, "rows": 2, "cols": 2, "data": [1, 1, 4, 4]},
+    "row_index": [["1,1", 1], ["2,1", 0]],
+}
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate", "attack"])
+def test_vandermonde_wider_than_its_nodes_exit_4(tmp_path, capsys, command):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE_VANDERMONDE))
+    assert run_cli(command, "--scheme", str(path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: H has 2 columns, more than the UV-1 = 1 nodes\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,26 @@ import pytest
 from hsagg.fields import (
     FieldSpec,
     FqMatrix,
-    elementary_symmetric,
     extended_vandermonde,
     extended_vandermonde_subdet,
-    generalized_vandermonde_det,
     is_prime,
     next_prime,
     vandermonde,
-    vandermonde_det,
 )
 
-from conftest import cofactor_det, minor_rank
+from conftest import (
+    cofactor_det,
+    elementary_symmetric,
+    elim_det,
+    elim_rank,
+    minor_rank,
+    vandermonde_product,
+)
 
 F5 = FieldSpec.for_prime(5)
 F7 = FieldSpec.for_prime(7)
 F13 = FieldSpec.for_prime(13)
 F17 = FieldSpec.for_prime(17)
-F101 = FieldSpec.for_prime(101)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +58,7 @@ def test_fieldspec_rejects_composite():
 
 
 # ---------------------------------------------------------------------------
-# rank and determinant
+# rank, and the tests' elimination determinant
 # ---------------------------------------------------------------------------
 
 
@@ -77,23 +80,25 @@ def test_rank_matches_minor_enumeration_oracle():
 def test_det_vandermonde_product_value():
     # nodes {0,1,2} over F_7: (1-0)(2-0)(2-1) = 2
     m = vandermonde(F7, [0, 1, 2], 3)
-    assert m.det() == 2
-    assert vandermonde_det(F7, [0, 1, 2]) == 2
+    assert elim_det(m.row_list(), 7) == 2
+    assert vandermonde_product([0, 1, 2], 7) == 2
 
 
 def test_det_singular():
-    assert FqMatrix.from_rows(F5, [[1, 1], [1, 1]]).det() == 0
+    assert elim_det([[1, 1], [1, 1]], 5) == 0
 
 
 def test_det_empty_matrix_is_one():
-    assert FqMatrix(0, 0, (), F5).det() == 1
+    assert elim_det([], 5) == 1
 
 
 def test_det_matches_cofactor_oracle():
+    # the elimination oracle against the cofactor and minor oracles
     rng = random.Random(3)
     for _ in range(25):
         rows = [[rng.randrange(101) for _ in range(4)] for _ in range(4)]
-        assert FqMatrix.from_rows(F101, rows).det() == cofactor_det(rows, 101)
+        assert elim_det(rows, 101) == cofactor_det(rows, 101)
+        assert elim_rank(rows, 101) == minor_rank(rows, 101)
     # Sparse rows over small fields, most with a zero leading entry: the pivot
     # columns come out of row order, so the permutation sign matters, and
     # many of the matrices are singular.
@@ -105,12 +110,13 @@ def test_det_matches_cofactor_oracle():
                         for _ in range(n)]
                 if n and rng.random() < 0.8:
                     rows[0][0] = 0
-                assert FqMatrix.from_rows(field, rows).det() == cofactor_det(rows, q)
+                assert elim_det(rows, q) == cofactor_det(rows, q)
+                assert elim_rank(rows, q) == minor_rank(rows, q)
 
 
 def test_det_requires_square():
     with pytest.raises(ValueError):
-        FqMatrix.from_rows(F5, [[1, 2, 3], [4, 0, 1]]).det()
+        elim_det([[1, 2, 3], [4, 0, 1]], 5)
 
 
 def test_matrix_rejects_non_canonical_entries():
@@ -145,14 +151,15 @@ def test_vandermonde_mds_property_exhaustive():
         for n in (2, 3, 4):
             m = vandermonde(field, nodes, n)
             for idx in itertools.combinations(range(8), n):
-                assert m.take_rows(idx).det() != 0
+                assert elim_det([m.row(i) for i in idx], q) != 0
 
 
 def test_extended_vandermonde_example():
     m = extended_vandermonde(F5, [0, 1], 2)
     assert m.row_list() == [(3, 4), (1, 0), (1, 1)]
     assert m.column_sums() == (0, 0)
-    dets = [m.take_rows(idx).det() for idx in itertools.combinations(range(3), 2)]
+    pairs = itertools.combinations(range(3), 2)
+    dets = [elim_det([m.row(i) for i in idx], 5) for idx in pairs]
     assert dets == [1, 4, 1]
 
 
@@ -179,56 +186,28 @@ def test_extended_vandermonde_zero_row_sum_many():
 
 
 def test_elementary_symmetric_examples():
-    assert elementary_symmetric(F101, [1, 2, 3], 2) == 11
-    assert elementary_symmetric(F101, [1, 2, 3], 0) == 1
-    assert elementary_symmetric(F101, [], 0) == 1
-    assert elementary_symmetric(F101, [1, 2, 3], 3) == 6
-
-
-def test_elementary_symmetric_range_check():
-    with pytest.raises(ValueError):
-        elementary_symmetric(F101, [1, 2], 3)
-    with pytest.raises(ValueError):
-        elementary_symmetric(F101, [1, 2], -1)
-
-
-def test_generalized_vandermonde_consecutive_powers():
-    nodes = [2, 5, 6]
-    assert generalized_vandermonde_det(F101, nodes, [0, 1, 2]) == vandermonde(
-        F101, nodes, 3
-    ).det()
+    assert elementary_symmetric([1, 2, 3], 2, 101) == 11
+    assert elementary_symmetric([1, 2, 3], 0, 101) == 1
+    assert elementary_symmetric([], 0, 101) == 1
+    assert elementary_symmetric([1, 2, 3], 3, 101) == 6
 
 
 def test_generalized_vandermonde_single_missing_power():
     # missing exponent 2 from {0,1,3}: det = V(X) * e_1(X) = 2 * 6 = 12
-    assert generalized_vandermonde_det(F101, [1, 2, 3], [0, 1, 3]) == 12
-
-
-def test_generalized_vandermonde_single_element():
-    assert generalized_vandermonde_det(F101, [7], [5]) == pow(7, 5, 101)
-
-
-def test_generalized_vandermonde_rejects_bad_powers():
-    with pytest.raises(ValueError):
-        generalized_vandermonde_det(F101, [1, 2], [1])
-    with pytest.raises(ValueError):
-        generalized_vandermonde_det(F101, [1, 2], [2, 1])
-    with pytest.raises(ValueError):
-        generalized_vandermonde_det(F101, [1, 2], [-1, 0])
+    assert elim_det([[x**p for p in (0, 1, 3)] for x in (1, 2, 3)], 101) == 12
 
 
 def test_missing_power_identity_sweep():
     # all node sets of size <= 6 from a small pool, all single-missing exponents
-    field = F101
     pool = [1, 4, 7, 9, 12, 15]
     for size in range(1, 7):
         for nodes in itertools.combinations(pool, size):
             for missing in range(size + 1):
                 powers = [p for p in range(size + 1) if p != missing]
-                lhs = generalized_vandermonde_det(field, nodes, powers)
+                lhs = elim_det([[pow(x, p, 101) for p in powers] for x in nodes], 101)
                 rhs = (
-                    vandermonde_det(field, nodes)
-                    * elementary_symmetric(field, nodes, size - missing)
+                    vandermonde_product(nodes, 101)
+                    * elementary_symmetric(nodes, size - missing, 101)
                     % 101
                 )
                 assert lhs == rhs
@@ -245,10 +224,8 @@ def test_subdet_closed_form_matches_elimination():
         n = rng.randrange(1, m + 1)
         idx = sorted(rng.sample(range(m), n - 1))
         closed = extended_vandermonde_subdet(field, nodes, idx)
-        assembled = extended_vandermonde(field, nodes, n).take_rows(
-            [0] + [1 + i for i in idx]
-        )
-        assert closed == assembled.det()
+        ev = extended_vandermonde(field, nodes, n)
+        assert closed == elim_det([ev.row(0)] + [ev.row(1 + i) for i in idx], q)
 
 
 def test_subdet_full_selection_single_term():
@@ -257,7 +234,7 @@ def test_subdet_full_selection_single_term():
     nodes = [0, 2, 7, 11]
     for omitted in range(4):
         idx = [i for i in range(4) if i != omitted]
-        expected = pow(-1, 4, 13) * vandermonde_det(field, [nodes[i] for i in idx])
+        expected = pow(-1, 4, 13) * vandermonde_product([nodes[i] for i in idx], 13)
         for j in idx:
             expected = expected * (nodes[omitted] - nodes[j]) % 13
         assert extended_vandermonde_subdet(field, nodes, idx) == expected % 13

@@ -3,9 +3,12 @@
 import copy
 import pickle
 import re
+import types
 
 import pytest
 
+import hsagg
+from hsagg import fields
 from hsagg.errors import ConfigurationError
 from hsagg.fields import FieldSpec, FqMatrix
 from hsagg.protocol import ObservedRates, RoundInputs, RoundTranscript
@@ -120,3 +123,29 @@ def test_a_matrix_takes_a_tag_without_changing_its_value(golden_3x2_f17):
     assert untagged.__dict__.get("_bench_kind") is None
     assert m.rank() == untagged.rank() == m.rows
     assert m == untagged and hash(m) == hash(untagged)
+
+
+def test_public_api_is_pinned():
+    # a name added to or removed from the package's API shows up here
+    exported = sorted(
+        name for name, value in vars(hsagg).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == [
+        "AuditBudgetExceeded", "AuditReport", "CoefficientScheme", "CollusionSet",
+        "ConfigurationError", "CorrectnessViolation", "FieldSpec", "FqMatrix",
+        "HsaConfig", "IndependenceVerdict", "InfeasibleConfiguration", "KeyMaterial",
+        "ObservedRates", "RankViolation", "RateRow", "RoundInputs", "RoundTranscript",
+        "SchemeFormatError", "SchemeParams", "active_branch", "audit",
+        "baseline_source_rate", "build_baseline", "build_elements", "build_scheme",
+        "derive_keys", "exact_independence_check", "exact_sweep", "extended_vandermonde",
+        "extended_vandermonde_subdet", "import_scheme", "infeasibility_attack", "is_prime",
+        "measure_rates", "next_prime", "optimal_rates", "optimal_source_rate", "rate_table",
+        "rate_table_csv", "relay_condition_matrix", "run_round", "sample_round",
+        "scheme_to_json", "search_gamma", "server_condition_matrix",
+        "transcript_to_json_obj", "vandermonde",
+    ]
+    assert sorted(fields.__all__) == [
+        "FieldSpec", "FqMatrix", "extended_vandermonde", "extended_vandermonde_subdet",
+        "is_prime", "json_int", "next_prime", "vandermonde",
+    ]

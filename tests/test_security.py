@@ -36,6 +36,8 @@ from hsagg.security import (
     server_condition_matrix,
 )
 
+from conftest import elim_rank
+
 
 def _with_collusion_budget(scheme: CoefficientScheme, T: int) -> CoefficientScheme:
     cfg = scheme.cfg
@@ -294,6 +296,7 @@ def test_audit_walk_matches_condition_matrices(golden_3x2_f17):
             else:
                 m = relay_condition_matrix(scheme, relay, tset)
             r = m.rank()
+            assert r == elim_rank(m.row_list(), scheme.field.q)
             if r < m.rows:
                 violations.append(RankViolation(relay, tset, r, m.rows))
         violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
@@ -343,6 +346,7 @@ def test_walk_matches_condition_matrices_from_deficient_starting_spans(golden_3x
                 else:
                     m = relay_condition_matrix(scheme, relay, tset)
                 r = m.rank()
+                assert r == elim_rank(m.row_list(), scheme.field.q)
                 if r < m.rows:
                     violations.append(RankViolation(relay, tset, r, m.rows))
             violations.sort(key=lambda v: (v.kind, v.relay or 0, v.collusion.members))
