@@ -238,9 +238,10 @@ def extended_vandermonde_subdet(field: FieldSpec, xs: Sequence[int], indices: Se
 
     evaluated without any elimination, so the tests can check it against
     an elimination determinant of the assembled submatrix.  The build
-    search does not call it: it certifies by the power-sum walk in
-    ``hsagg.schemes``, and the tests check that walk against this closed
-    form.
+    search does not call it: ``hsagg.schemes`` certifies from the nodes'
+    power sums, by a bounded depth-first refutation and then a
+    level-by-level pass over all the minors, and the tests check both
+    against this closed form.
     """
     m = len(xs)
     idx = sorted(indices)

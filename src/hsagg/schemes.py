@@ -11,12 +11,19 @@ geometrically spaced nodes (x_0 = 0, x_{i+1} - x_i = gamma^{i+1}) plus a
 parity row, searched over (q, gamma) until every n x n submatrix is
 certifiably nonsingular.  The search is deterministic: smallest valid q
 first, then smallest valid gamma; the nodes are recomputed from gamma.
+Each candidate's certificate evaluates the C(UV - 1, n - 1) parity-row
+minors from the nodes' power sums: a depth-first walk under a leaf budget
+refutes most failing candidates early, and a level-by-level pass over the
+same recurrence decides the rest.  Configurations whose certificate needs
+too many minors or moment updates are refused before the search.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import accumulate
+from math import comb
 
 from .errors import (
     AuditBudgetExceeded,
@@ -62,6 +69,11 @@ _PRIME_SEARCH_LIMIT = 10**6
 # Each (q, gamma) candidate certifies C(UV - 1, n - 1) parity-row minors; a
 # configuration needing more is refused before the search starts.
 _MINOR_LIMIT = 10**6
+# The minors are the leaves of a tree whose nodes each update a vector of
+# moments; a passing candidate visits every node.  A configuration whose
+# tree needs more moment updates than this is refused as well: at about
+# 30 ns per update, one such candidate takes over a minute.
+_UPDATE_LIMIT = 2 * 10**9
 
 
 class SchemeParams(namedtuple("SchemeParams", "cfg gamma")):
@@ -158,34 +170,103 @@ def _parity_submatrices_nonsingular(field: FieldSpec, xs: tuple[int, ...], n: in
     whenever the nodes are distinct, so only parity-row submatrices need
     work.  The one on the nodes I (|I| = n - 1) is +-V(x_I) * S(I) with
     V(x_I) != 0 and S(I) = sum_i P_I(x_i), P_I(x) = prod_{j in I} (x - x_j);
-    terms with i in I vanish, so the sum may run over all nodes.  The walk
-    chooses I depth-first in ascending order and carries the moments
-    M_t(P) = sum_i x_i^t * P(x_i) of the chosen prefix's polynomial P.
-    Appending node j maps them to M_t(P * (x - x_j)) = M_{t+1}(P) - x_j * M_t(P),
-    so the root holds the power sums p_t = M_t(1) for t < n, each level
-    drops one moment, and a leaf S(I) = M_0(P_I) costs one multiply.
+    terms with i in I vanish, so the sum may run over all nodes.  I is
+    chosen in ascending order, one pick per level of a tree whose nodes
+    carry the moments M_t(P) = sum_i x_i^t * P(x_i) of the chosen prefix's
+    polynomial P.  Appending node j maps them to
+    M_t(P * (x - x_j)) = M_{t+1}(P) - x_j * M_t(P), so the root holds the
+    power sums p_t = M_t(1) for t < n, each level drops one moment, and a
+    leaf S(I) = M_0(P_I) costs one multiply.
+
+    Two walks share that tree.  A depth-first one (``_refute``) looks for a
+    zero leaf, which a failing node set shows after about q leaves; a set
+    that survives 8 q leaves, or half the tree if that is fewer, is decided
+    by ``_all_minors_nonzero``, which evaluates every leaf level by level.
+    With n = 2 the tree is the root and one block of leaves.
     """
     q, m = field.q, len(xs)
     sums, powers = [], [1] * m
     for _ in range(n):
         sums.append(sum(powers) % q)
         powers = [p * x % q for p, x in zip(powers, xs)]
+    if n == 1:
+        return sums[0] != 0
+    if n == 2:
+        p0, p1 = sums
+        return 0 not in [(p1 - x * p0) % q for x in xs]
+    zero = _refute(q, xs, sums, min(8 * q, comb(m, n - 1) // 2))
+    return not zero if zero is not None else _all_minors_nonzero(q, xs, sums)
 
-    def nonzero_below(moments: list[int], start: int) -> bool:
-        if len(moments) == 2:
-            m0, m1 = moments
-            for j in range(start, m):
-                if (m1 - xs[j] * m0) % q == 0:
-                    return False
-            return True
-        for j in range(start, m - len(moments) + 2):
+
+def _refute(q: int, xs: tuple[int, ...], sums: list[int], budget: int) -> bool | None:
+    """Depth-first search of the moment tree for a zero leaf (n >= 3).
+
+    True when one turns up, False when the tree holds none, and None once
+    more than ``budget`` leaves have passed.  The walk keeps one frame per
+    level on a stack, so its depth is bounded by memory, not by the
+    recursion limit.  A frame with three moments makes the last two picks
+    itself, on scalars, stopping at the first zero leaf.
+    """
+    m = len(xs)
+    stack = [(sums, iter(range(m - len(sums) + 2)))]
+    while stack:
+        moments, picks = stack[-1]
+        if len(moments) > 3:
+            for j in picks:
+                x = xs[j]
+                child = [(moments[t + 1] - x * moments[t]) % q for t in range(len(moments) - 1)]
+                stack.append((child, iter(range(j + 1, m - len(child) + 2))))
+                break
+            else:
+                stack.pop()
+            continue
+        stack.pop()
+        a0, a1, a2 = moments
+        for j in picks:
             x = xs[j]
-            child = [(moments[t + 1] - x * moments[t]) % q for t in range(len(moments) - 1)]
-            if not nonzero_below(child, j + 1):
-                return False
-        return True
+            m0, m1 = (a1 - x * a0) % q, (a2 - x * a1) % q
+            for y in xs[j + 1 :]:
+                if (m1 - y * m0) % q == 0:
+                    return True
+            budget -= m - 1 - j
+            if budget < 0:
+                return None
+    return False
 
-    return sums[0] != 0 if n == 1 else nonzero_below(sums, 0)
+
+def _all_minors_nonzero(q: int, xs: tuple[int, ...], sums: list[int]) -> bool:
+    """Whether every leaf of the moment tree is nonzero (n >= 3), level by level.
+
+    The tree is split by its first pick i, and each subtree is evaluated
+    one level at a time.  A level stores its moments as columns, with its
+    nodes ordered by their last pick.  The next pick j may follow exactly
+    the nodes whose last pick is below j, a prefix of the level, so the
+    children of pick j are one list comprehension per moment column, and
+    laid out pick after pick they are again ordered by last pick.
+    ``counts`` holds the length of that prefix for each allowed pick.  The
+    leaves are checked pick by pick and never stored.
+    """
+    m, depth = len(xs), len(sums) - 1
+    for i in range(m - depth + 1):
+        x = xs[i]
+        columns = [[(sums[t + 1] - x * sums[t]) % q] for t in range(depth)]
+        picks = range(i + 1, m - depth + 2)
+        counts = [1] * len(picks)
+        while len(columns) > 2:
+            children = [[] for _ in range(len(columns) - 1)]
+            for j, k in zip(picks, counts):
+                x = xs[j]
+                for child, low, high in zip(children, columns, columns[1:]):
+                    child += [(b - x * a) % q for a, b in zip(low[:k], high)]
+            columns = children
+            picks = range(picks.start + 1, picks.stop + 1)
+            counts = list(accumulate(counts))
+        low, high = columns
+        for j, k in zip(picks, counts):
+            x = xs[j]
+            if 0 in [(b - x * a) % q for a, b in zip(low[:k], high)]:
+                return False
+    return True
 
 
 def search_gamma(cfg: HsaConfig, field: FieldSpec) -> int | None:
@@ -236,8 +317,8 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
     The prime search starts at q_hint (rounded up to a prime) or at the
     smallest prime >= UV + 1, advancing to the next prime whenever no gamma
     certifies in the current field.  Raises AuditBudgetExceeded when one
-    certificate needs more than _MINOR_LIMIT minors or no (q, gamma) with
-    q <= _PRIME_SEARCH_LIMIT certifies.
+    certificate needs more than _MINOR_LIMIT minors or _UPDATE_LIMIT moment
+    updates, or no (q, gamma) with q <= _PRIME_SEARCH_LIMIT certifies.
     """
     if not cfg.feasible:
         raise InfeasibleConfiguration(cfg.U, cfg.V, cfg.T)
@@ -249,6 +330,15 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
         if minors > _MINOR_LIMIT:
             raise AuditBudgetExceeded(
                 f"the MDS certificate needs C({m}, {r}) > {_MINOR_LIMIT} minors per (q, gamma)"
+            )
+    # The tree has C(m - r + d, d) nodes of n - d moments at each depth d = 1..r.
+    nodes, updates = 1, 0
+    for d in range(1, r + 1):
+        nodes = nodes * (m - r + d) // d
+        updates += nodes * (n - d)
+        if updates > _UPDATE_LIMIT:
+            raise AuditBudgetExceeded(
+                f"the MDS certificate needs more than {_UPDATE_LIMIT} moment updates per (q, gamma)"
             )
     q = _first_prime(q_hint, cfg.n_users + 1)
     if q > _PRIME_SEARCH_LIMIT:

@@ -159,6 +159,21 @@ def test_build_minor_limit_exit_6(tmp_path):
     assert not out.exists()
 
 
+def test_build_update_limit_exit_6(tmp_path):
+    # 498,501 minors, but a moment tree 997 levels deep: refused before the search
+    out = tmp_path / "s.json"
+    start = time.monotonic()
+    proc = run_process(
+        ["-m", "hsagg.cli", "build", "--U", "2", "--V", "500", "--T", "498", "--out", str(out)],
+        tmp_path, 20,
+    )
+    assert proc.returncode == 6, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "moment updates" in proc.stderr
+    assert time.monotonic() - start < 10
+    assert not out.exists()
+
+
 def test_build_q_beyond_prime_search_limit_exit_6(tmp_path, capsys):
     # a prime above the build's prime-search limit leaves nothing to search
     out = tmp_path / "s.json"

@@ -3,10 +3,13 @@
 import itertools
 import json
 import random
+import sys
+from math import comb
 
 import pytest
 
 from hsagg.errors import (
+    AuditBudgetExceeded,
     CorrectnessViolation,
     InfeasibleConfiguration,
     SchemeFormatError,
@@ -14,7 +17,9 @@ from hsagg.errors import (
 from hsagg.fields import FieldSpec, extended_vandermonde, extended_vandermonde_subdet
 from hsagg.rates import HsaConfig
 from hsagg.schemes import (
+    _all_minors_nonzero,
     _parity_submatrices_nonsingular,
+    _refute,
     build_baseline,
     build_elements,
     build_scheme,
@@ -100,6 +105,78 @@ def test_parity_certificate_matches_closed_form():
         outcomes.append(expected)
     assert outcomes[:2] == [False, False] and outcomes[2]
     assert outcomes.count(True) > 400 and outcomes.count(False) > 400
+
+
+def _power_sums(q, xs, n):
+    return [sum(pow(x, t, q) for x in xs) % q for t in range(n)]
+
+
+def test_parity_certificate_past_the_refutation_budget():
+    # 12-15 nodes: C(m, n - 1) exceeds the 8 q leaves the depth-first refutation
+    # may visit, so a passing node set is decided by the level-by-level pass
+    rng = random.Random(20241)
+    outcomes = []
+    while len(outcomes) < 60:
+        q = rng.choice((13, 17))
+        m = rng.randint(12, min(q, 15))
+        n = rng.randint(3, m - 1)
+        if comb(m, n - 1) <= 8 * q:
+            continue
+        field = FieldSpec.for_prime(q)
+        xs = tuple(rng.sample(range(q), m))
+        expected = _closed_form_sweep(field, xs, n)
+        assert _parity_submatrices_nonsingular(field, xs, n) == expected, (q, xs, n)
+        sums = _power_sums(q, xs, n)
+        assert _all_minors_nonzero(q, xs, sums) == expected, (q, xs, n)
+        if expected:
+            assert _refute(q, xs, sums, 8 * q) is None
+        outcomes.append(expected)
+    assert outcomes.count(True) >= 5 and outcomes.count(False) >= 5
+
+
+def test_batched_pass_and_refutation_on_their_own():
+    rng = random.Random(20242)
+    outcomes = []
+    for _ in range(300):
+        q = rng.choice((5, 7, 11, 13, 17, 101))
+        m = rng.randint(3, min(q, 12))
+        n = rng.randint(3, m)
+        xs = tuple(rng.sample(range(q), m))
+        expected = _closed_form_sweep(FieldSpec.for_prime(q), xs, n)
+        sums = _power_sums(q, xs, n)
+        assert _all_minors_nonzero(q, xs, sums) == expected, (q, xs, n)
+        # unbounded, the refutation decides alone; with no budget it gives up
+        # at the first nonzero block of leaves
+        assert _refute(q, xs, sums, comb(m, n - 1)) is (not expected), (q, xs, n)
+        assert _refute(q, xs, sums, 0) in (True, None)
+        if expected:
+            assert _refute(q, xs, sums, 0) is None
+        outcomes.append(expected)
+    assert outcomes.count(True) > 50 and outcomes.count(False) > 50
+
+
+def test_certificate_depth_is_not_bounded_by_the_recursion_limit():
+    # (150, 1, 0) needs n = 149 = UV - 1: one pick per level, 148 levels deep
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        scheme = build_scheme(HsaConfig(150, 1, 0))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (scheme.field.q, scheme.params.gamma, scheme.n_source) == (151, 6, 149)
+    xs = build_elements(6, 149, scheme.field)
+    assert _closed_form_sweep(scheme.field, xs, 149)
+
+
+def test_build_refuses_certificates_past_the_update_limit():
+    # 498,501 minors pass the minor limit, but the moment tree is 997 levels
+    # deep: about 4e10 updates per (q, gamma)
+    assert comb(999, 997) <= 10**6
+    with pytest.raises(AuditBudgetExceeded, match="moment updates"):
+        build_scheme(HsaConfig(2, 500, 498))
 
 
 # (q, gamma) that build_scheme picks, recorded with the closed-form sweep as the
