@@ -36,6 +36,16 @@ EXIT_CORRUPT = 4
 EXIT_INSECURE = 5
 EXIT_BUDGET = 6
 
+# The exit code of each failure class, checked in order by main.
+_FAILURES = {
+    ConfigurationError: EXIT_DOMAIN,
+    OSError: EXIT_DOMAIN,
+    InfeasibleConfiguration: EXIT_INFEASIBLE,
+    SchemeFormatError: EXIT_CORRUPT,
+    CorrectnessViolation: EXIT_CORRUPT,
+    AuditBudgetExceeded: EXIT_BUDGET,
+}
+
 DEFAULT_SEED = 1234
 
 
@@ -43,16 +53,13 @@ def _dump(obj, pretty: bool) -> str:
     return json.dumps(obj, sort_keys=True, indent=2 if pretty else None) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _report(args, obj, text: str, out: str | None = None) -> None:
+    """Write ``obj`` as JSON under --json, else ``text``, to ``out`` or stdout."""
+    text = _dump(obj, args.pretty) if args.json else text
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _report(args, obj, text: str, out: str | None = None) -> None:
-    """Emit ``obj`` as JSON under --json, else ``text``."""
-    _emit(_dump(obj, args.pretty) if args.json else text, out)
 
 
 def _load_scheme(path: str) -> schemes.CoefficientScheme:
@@ -84,29 +91,25 @@ def cmd_rates(args) -> int:
     if args.sweep:
         if len(args.sweep) != 3:
             raise ConfigurationError("--sweep takes exactly U=lo..hi V=lo..hi T=lo..hi")
-        u_range = _parse_range(args.sweep[0], "U")
-        v_range = _parse_range(args.sweep[1], "V")
-        t_range = _parse_range(args.sweep[2], "T")
+        ranges = [_parse_range(token, key) for token, key in zip(args.sweep, "UVT")]
     else:
-        if args.U is None or args.V is None or args.T is None:
+        shape = (args.U, args.V, args.T)
+        if None in shape:
             raise ConfigurationError("provide --U --V --T or --sweep")
-        u_range = range(args.U, args.U + 1)
-        v_range = range(args.V, args.V + 1)
-        t_range = range(args.T, args.T + 1)
-    rows = rates.rate_table(u_range, v_range, t_range)
+        ranges = [range(n, n + 1) for n in shape]
+    rows = rates.rate_table(*ranges)
+    # only the format written is built: a sweep can reach 10^5 rows
     if args.json:
-        _emit(_dump([r.to_json_obj() for r in rows], args.pretty), args.out)
+        _report(args, [r.to_json_obj() for r in rows], "", args.out)
     else:
-        _emit(rates.rate_table_csv(rows), args.out)
+        _report(args, None, rates.rate_table_csv(rows), args.out)
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
     cfg = HsaConfig(args.U, args.V, args.T)
-    if args.force_infeasible:
-        scheme = schemes.build_baseline(cfg, q_hint=args.q, force_infeasible=True)
-    elif args.baseline:
-        scheme = schemes.build_baseline(cfg, q_hint=args.q)
+    if args.baseline or args.force_infeasible:
+        scheme = schemes.build_baseline(cfg, args.q, args.force_infeasible)
     else:
         scheme = schemes.build_scheme(cfg, q_hint=args.q)
     Path(args.out).write_text(schemes.scheme_to_json(scheme, pretty=args.pretty))
@@ -168,7 +171,7 @@ def cmd_audit(args) -> int:
         verdicts = security.exact_sweep(scheme, args.q_cap)
         obj["exact_checks"] = [v.to_json_obj() for v in verdicts]
         failed = failed or any(not v.passed for v in verdicts)
-    print(_dump(obj, args.pretty), end="")
+    _report(args, obj, "")
     return EXIT_INSECURE if failed else EXIT_OK
 
 
@@ -226,40 +229,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rates", help="evaluate the optimal rate region")
-    p.add_argument("--U", type=int)
-    p.add_argument("--V", type=int)
-    p.add_argument("--T", type=int)
+    def command(name: str, func, summary: str, shape: bool | None = None):
+        """A subcommand running ``func``; with ``shape`` set it starts with the
+        --U --V --T triple, required when ``shape`` is True."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if shape is not None:
+            for key in "UVT":
+                p.add_argument("--" + key, type=int, required=shape)
+        return p
+
+    p = command("rates", cmd_rates, "evaluate the optimal rate region", shape=False)
     p.add_argument("--sweep", nargs="+", metavar="K=lo..hi",
                    help="grid sweep, e.g. --sweep U=2..4 V=1..3 T=0..6")
     p.add_argument("--out", help="write to file instead of stdout")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("build", help="build and persist a scheme")
-    p.add_argument("--U", type=int, required=True)
-    p.add_argument("--V", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
+    p = command("build", cmd_build, "build and persist a scheme", shape=True)
     p.add_argument("--q", type=int, help="starting prime for the field search")
     p.add_argument("--baseline", action="store_true", help="naive per-user keying comparator")
     p.add_argument("--force-infeasible", action="store_true",
                    help="materialize an out-of-region scheme for attack demos")
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("simulate", help="run one aggregation round")
+    p = command("simulate", cmd_simulate, "run one aggregation round")
     p.add_argument("--scheme", required=True)
     p.add_argument("--L", type=int, default=1, help="symbols per input")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--transcript", help="write the round transcript to this file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("audit", help="exhaustive security audit of a scheme file")
+    p = command("audit", cmd_audit, "exhaustive security audit of a scheme file")
+    p.set_defaults(json=True)  # the audit report is always JSON
     p.add_argument("--scheme", required=True)
     p.add_argument("--exact", action="store_true",
                    help="additionally run the brute-force independence oracle")
@@ -267,26 +266,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap on the exact oracle's whole sweep: checks x q^(UV+n) tuples")
     p.add_argument("--budget", type=int, default=security.DEFAULT_RANK_BUDGET,
                    help="rank-check cap for the audit")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("attack", help="run the oversized-collusion recovery attack")
+    p = command("attack", cmd_attack, "run the oversized-collusion recovery attack")
     p.add_argument("--scheme", required=True)
     p.add_argument("--rounds", type=int, default=100)
     p.add_argument("--L", type=int, default=1)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("compare", help="optimal vs baseline source key rate")
-    p.add_argument("--U", type=int, required=True)
-    p.add_argument("--V", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_compare)
+    command("compare", cmd_compare, "optimal vs baseline source key rate", shape=True)
 
+    for p in sub.choices.values():
+        if p.get_default("json") is None:
+            p.add_argument("--json", action="store_true")
+        p.add_argument("--pretty", action="store_true")
     return parser
 
 
@@ -294,18 +286,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, OSError) as exc:
+    except tuple(_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except InfeasibleConfiguration as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (SchemeFormatError, CorrectnessViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT
-    except AuditBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return next(code for cls, code in _FAILURES.items() if isinstance(exc, cls))
 
 
 def run() -> None:

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
-The CLI maps each class to a distinct process exit code, so keeping them
-in one place keeps that mapping honest.
+``hsagg.cli._FAILURES`` maps each class to the exit code ``hsa`` returns.
+Codes are shared: SchemeFormatError and CorrectnessViolation both exit 4,
+and OSError exits 2 with ConfigurationError.
 """
 
 

@@ -126,9 +126,6 @@ class FqMatrix(namedtuple("FqMatrix", "rows cols entries field")):
         flat = tuple(int(x) % field.q for r in rows for x in r)
         return cls(nrows, ncols, flat, field)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -137,9 +134,7 @@ class FqMatrix(namedtuple("FqMatrix", "rows cols entries field")):
 
     def column_sums(self) -> tuple[int, ...]:
         q = self.field.q
-        return tuple(
-            sum(self.entry(i, j) for i in range(self.rows)) % q for j in range(self.cols)
-        )
+        return tuple(sum(self.entries[j::self.cols]) % q for j in range(self.cols))
 
     def rank(self) -> int:
         """Row rank: the size of an echelon basis of the rows."""
@@ -154,7 +149,7 @@ class FqMatrix(namedtuple("FqMatrix", "rows cols entries field")):
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict, field: FieldSpec | None = None) -> "FqMatrix":
+    def from_json_obj(cls, obj: dict, field: FieldSpec) -> "FqMatrix":
         try:
             q, rows, cols, data = obj["q"], obj["rows"], obj["cols"], obj["data"]
         except (KeyError, TypeError) as exc:
@@ -163,9 +158,7 @@ class FqMatrix(namedtuple("FqMatrix", "rows cols entries field")):
         if not isinstance(data, list):
             raise ValueError(f"matrix data must be a JSON array, got {type(data).__name__}")
         entries = tuple(json_int(x, "matrix entry") for x in data)
-        if field is None:
-            field = FieldSpec.for_prime(q)
-        elif field.q != q:
+        if field.q != q:
             raise ValueError(f"matrix modulus {q} does not match field modulus {field.q}")
         return cls(rows, cols, entries, field)
 

@@ -48,9 +48,6 @@ class ObservedRates(namedtuple("ObservedRates", "R_X R_Y R_Z R_Z_sigma")):
 
     __slots__ = ()
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
 
 def sample_round(
     scheme: CoefficientScheme, L: int, seed: int

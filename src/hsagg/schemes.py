@@ -114,9 +114,6 @@ class CoefficientScheme(
     def coefficient_row(self, u: int, v: int) -> tuple[int, ...]:
         return self.H.row(self.row_index[(u, v)])
 
-    def has_zero_row_sum(self) -> bool:
-        return all(s == 0 for s in self.H.column_sums())
-
     def to_json_obj(self) -> dict:
         cfg, gamma = self.cfg, self.params.gamma
         vandermonde = self.kind == KIND_EXTENDED_VANDERMONDE
@@ -299,16 +296,9 @@ def _first_prime(q_hint: int | None, default: int) -> int:
 
 
 def _extended_row_index(cfg: HsaConfig) -> dict[tuple[int, int], int]:
-    # Parity row goes to the last user (U, V); everyone else takes the
-    # Vandermonde rows in lexicographic order.
-    index = {(cfg.U, cfg.V): 0}
-    row = 1
-    for user in cfg.users():
-        if user == (cfg.U, cfg.V):
-            continue
-        index[user] = row
-        row += 1
-    return index
+    # Parity row 0 goes to the last user (U, V), which cfg.users() lists
+    # last; everyone else takes the Vandermonde rows 1..UV-1 in that order.
+    return {user: (i + 1) % cfg.n_users for i, user in enumerate(cfg.users())}
 
 
 def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme:

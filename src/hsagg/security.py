@@ -369,10 +369,10 @@ class _Tables:
     ``masks[k % len(masks)]``): every input vector w outer and every mask
     vector z = H N inner, each in ``itertools.product`` order.  ``b[k]`` is
     the index of that tuple's input and ``seen[relay][k]`` the base-q code of
-    what the observer (relay u, or the server as ``None``) receives from it.
+    what each observer (relay u, or the server as ``None``) receives from it.
     """
 
-    def __init__(self, scheme: CoefficientScheme, relays) -> None:
+    def __init__(self, scheme: CoefficientScheme) -> None:
         cfg = self.cfg = scheme.cfg
         q = self.q = scheme.field.q
         self.inputs = list(itertools.product(range(q), repeat=cfg.n_users))
@@ -391,7 +391,7 @@ class _Tables:
             [self.index[(u, v)] for v in range(1, cfg.V + 1)] for u in range(1, cfg.U + 1)
         ]
         self.seen = {}
-        for relay in relays:
+        for relay in [*range(1, cfg.U + 1), None]:
             groups = clusters if relay is None else [(i,) for i in clusters[relay - 1]]
             self.seen[relay] = self._observed(groups)
 
@@ -470,14 +470,14 @@ def exact_independence_check(
     the input set, given the total input sum and the colluders' inputs and
     masks?
 
-    Builds, for this one observer, the integer-coded tables that
-    ``exact_sweep`` builds once for all of its checks, and decides the check
-    as the sweep does: every one of the q^(UV + n) (W, N) tuples is counted
-    into the contingency table, and the count-product identity is tested on
-    the nonzero cells, which decides it for every cell of the support
-    product (see the module docstring).  A failing check reports the cell of
-    the all-zero tuple, where every linear check that fails also fails, as
-    its witness, written from its shape.  Exact integers only.
+    Builds the integer-coded tables that ``exact_sweep`` builds once for
+    all of its checks, and decides the check as the sweep does: every one
+    of the q^(UV + n) (W, N) tuples is counted into the contingency table,
+    and the count-product identity is tested on the nonzero cells, which
+    decides it for every cell of the support product (see the module
+    docstring).  A failing check reports the cell of the all-zero tuple,
+    where every linear check that fails also fails, as its witness, written
+    from its shape.  Exact integers only.
     """
     _check_labels(scheme, tset, relay)
     total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
@@ -485,7 +485,7 @@ def exact_independence_check(
         raise AuditBudgetExceeded(
             f"exact check needs {total} tuples, cap is {cap}; refusing to sample"
         )
-    return _decide(_Tables(scheme, [relay]), tset, relay)
+    return _decide(_Tables(scheme), tset, relay)
 
 
 def exact_sweep(
@@ -504,7 +504,7 @@ def exact_sweep(
         raise AuditBudgetExceeded(
             f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
         )
-    tables = _Tables(scheme, [*range(1, cfg.U + 1), None])
+    tables = _Tables(scheme)
     return [_decide(tables, tset, relay) for tset, relay in _checks(cfg)]
 
 

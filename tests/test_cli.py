@@ -1,5 +1,6 @@
 """CLI behavior: output formats, file round-trips, exit-code contract."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hsagg import cli
 from hsagg.cli import main
 from hsagg.rates import HsaConfig
 from hsagg.schemes import build_baseline, build_scheme, import_scheme, scheme_to_json
@@ -594,6 +596,55 @@ def test_pretty_output_parses_to_the_plain_output(
             assert scheme_to_json(import_scheme(json.loads(text))) == plain_files[name]
         else:
             assert json.loads(text) == json.loads(plain_files[name])
+
+
+# ---------------------------------------------------------------------------
+# options
+# ---------------------------------------------------------------------------
+
+
+# every subcommand's options, sorted, each as (option strings, required, default)
+OPTIONS = {
+    "rates": [
+        ("--T", False, None), ("--U", False, None), ("--V", False, None),
+        ("--json", False, False), ("--out", False, None), ("--pretty", False, False),
+        ("--sweep", False, None),
+    ],
+    "build": [
+        ("--T", True, None), ("--U", True, None), ("--V", True, None),
+        ("--baseline", False, False), ("--force-infeasible", False, False),
+        ("--json", False, False), ("--out", True, None), ("--pretty", False, False),
+        ("--q", False, None),
+    ],
+    "simulate": [
+        ("--L", False, 1), ("--json", False, False), ("--pretty", False, False),
+        ("--scheme", True, None), ("--seed", False, 1234), ("--transcript", False, None),
+    ],
+    "audit": [
+        ("--budget", False, 1_000_000), ("--exact", False, False), ("--pretty", False, False),
+        ("--q-cap", False, 10_000_000), ("--scheme", True, None),
+    ],
+    "attack": [
+        ("--L", False, 1), ("--json", False, False), ("--pretty", False, False),
+        ("--rounds", False, 100), ("--scheme", True, None), ("--seed", False, 1234),
+    ],
+    "compare": [
+        ("--T", True, None), ("--U", True, None), ("--V", True, None),
+        ("--json", False, False), ("--pretty", False, False),
+    ],
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)
+    for name, subparser in sub.choices.items():
+        options = sorted(
+            ("/".join(a.option_strings), a.required, a.default)
+            for a in subparser._actions if a.dest != "help"
+        )
+        assert options == OPTIONS[name], name
 
 
 # ---------------------------------------------------------------------------

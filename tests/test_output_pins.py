@@ -1,5 +1,6 @@
-"""Byte pins of canonical outputs: the rate sweep, audit reports, and the
-protocol's simulate report, transcript and attack report.
+"""Byte pins of canonical outputs: the rate sweep, audit reports, the
+protocol's simulate report, transcript and attack report, and the build and
+compare reports, in text and in JSON.
 
 The scheme inputs are fixed documents, not `hsa build` output, so a change
 to the build search leaves these pins alone.  A digest changes only when the
@@ -75,9 +76,11 @@ VANDERMONDE_446 = _vandermonde(4, 4, 6, 31, 7)
 VANDERMONDE_635 = _vandermonde(6, 3, 5, 103, 8)
 
 SWEEP = ["rates", "--sweep", "U=2..5", "V=1..4", "T=0..12"]
+# on stdout and in the file --out writes alike
+RATES_CSV = "fa79e8d55c2521ff4d7e016a0aa1879648f208b3a44018362f2f06e728f093d5"
 
 PINS = [
-    (SWEEP, None, 0, "fa79e8d55c2521ff4d7e016a0aa1879648f208b3a44018362f2f06e728f093d5"),
+    (SWEEP, None, 0, RATES_CSV),
     (SWEEP + ["--json"], None, 0,
      "fe0f7b4ae69b380e253e517a333503d8a1d1edcc520e49b0c7e2dfe02ffb8534"),
     (["audit"], CLEAN, 0, "b35df772f67bea87303d68ed08555941b64d1dde4a2f68e5e49bfb5790165dab"),
@@ -92,6 +95,10 @@ PINS = [
      "1b1b2fbdf9f9e8a2c51689d7237c9843c6a86698fa687f7fb4b6c48e183adf62"),
     (["audit"], VANDERMONDE_635, 5,
      "ef9f90b06c06d99875c8e578516e51ae7ceaef942ac231a4f9d50277487c684c"),
+    (["audit", "--pretty"], CLEAN, 0,
+     "7ce9e08318d6b1d09eb0e6fd7bed9422b9b2a9ec2330c8868933a10648af8559"),
+    (["audit", "--pretty"], LEAKY, 5,
+     "f2dac6c7a33a40d2ba5aa448bb4ae65169ba797a72fcc45210a3060d0fed1937"),
 ]
 
 
@@ -101,7 +108,7 @@ PINS = [
     ids=[
         "rates-csv", "rates-json", "audit-clean", "exact-clean", "audit-leaky", "exact-leaky",
         "audit-vandermonde-434", "audit-external-434", "audit-vandermonde-446",
-        "audit-vandermonde-635",
+        "audit-vandermonde-635", "audit-pretty-clean", "audit-pretty-leaky",
     ],
 )
 def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, scheme, code, digest):
@@ -123,17 +130,59 @@ PROTOCOL_PINS = [
      "e72bfad48a030cd0fec92dd99784e2cf9bde6237f7d31f8f02f59ff3454702d3"),
     (["attack", "--json", "--rounds", "5", "--L", "2"], None,
      "42a3244e234c48dbb842b4dcd7ba030c30bff23dc258c4a232f50adf334dfd2e"),
+    (["simulate", "--L", "8", "--seed", "1"], None,
+     "9f60ee68f60aa6f6d14525b4e61e93bcdd5042f041d1455177ba0167a2fc5a7c"),
+    (["attack", "--rounds", "5", "--L", "2"], None,
+     "22fdbde3d547b0bde46017190ebdfe77f5929f35988b8f6e78d925514f9edec6"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, written, digest",
     PROTOCOL_PINS,
-    ids=["simulate-stdout", "simulate-transcript", "attack-stdout"],
+    ids=["simulate-stdout", "simulate-transcript", "attack-stdout", "simulate-text",
+         "attack-text"],
 )
 def test_protocol_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, written, digest):
     monkeypatch.chdir(tmp_path)
     Path("scheme.json").write_text(json.dumps(CLEAN))
     assert main([argv[0], "--scheme", "scheme.json", *argv[1:]]) == 0
     out = capsys.readouterr().out if written is None else Path(written).read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Reports that read no scheme file, run in a scratch directory so that a
+# relative --out is what the build report repeats.  The build lines follow
+# the build search, so a change to it moves them.
+BUILD_221 = ["build", "--U", "2", "--V", "2", "--T", "1", "--out", "s.json"]
+COMPARE_434 = ["compare", "--U", "4", "--V", "3", "--T", "4"]
+
+REPORT_PINS = [
+    (BUILD_221, None, "77c96e8806be46d2967be29023fb0671788023ab8926890cb4e6b52d73e6e9c6"),
+    (BUILD_221 + ["--json"], None,
+     "67c6458752b2b0285f4ed95bef4d275af89c9b658aa60318fc999e95ce5bfecb"),
+    (BUILD_221 + ["--baseline"], None,
+     "b1a12ede96e3af9cd139beab7bf64f15cdd29a7fbe1e4d3ce1a0870c908753f9"),
+    (["build", "--U", "2", "--V", "1", "--T", "1", "--force-infeasible", "--out", "f.json"], None,
+     "aa73127f172c05672dbfcdfefd162707e9861b46e1679fab3258c37775c733a3"),
+    (COMPARE_434, None, "52273ca02d283ad8b7d241a4486f166ee9566f960cb6b485ba737740d3396969"),
+    (COMPARE_434 + ["--json", "--pretty"], None,
+     "9a980fd15a95e516fbab272fdef9121805d55fd62d91bcaf2ce3289e213e6400"),
+    (SWEEP + ["--out", "rates.csv"], "rates.csv", RATES_CSV),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, written, digest",
+    REPORT_PINS,
+    ids=["build-text", "build-json", "build-baseline-text", "build-forced-text",
+         "compare-text", "compare-json-pretty", "rates-out"],
+)
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, written, digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if written is not None:
+        assert out == ""
+        out = Path(written).read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
