@@ -21,17 +21,24 @@ Two layers of checking:
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
-  decided by enumerating every (input, source-key) tuple and checking the
+  decided by counting every (input, source-key) tuple and checking the
   count-product identity N(a,b,c) * N(c) == N(a,c) * N(b,c) in exact
   integers, which is equivalent to zero conditional MI and involves no
-  floating point.  The input vectors, the mask vectors and what each
-  observer receives per tuple are tabulated as base-q integer codes once
-  per sweep; each check codes its conditioning value c per tuple and counts
-  all q^(UV + n) tuples into the joint table and its three marginals.  The
-  identity is tested on the joint table's nonzero cells only, which decides
-  it for the whole support product: fix (a, c) with N(a,c) > 0 and sum the
-  identity over the b of its nonzero cells; that gives sum N(b,c) = N(c)
-  over those b, so every b with N(b,c) > 0 has a nonzero cell.  Every
+  floating point.  The q^n tuples that share an input w form a block.  An
+  observer's message depends on w only through its group sums (each
+  member's w for a relay, each cluster's sum for the server), and c only
+  through the colluders' inputs (and the total, for the server), so all
+  inputs with the same such key have blocks with the same row of (a, c)
+  over the masks.  The a rows are tabulated as base-q integer codes once
+  per sweep and the c rows once per check, one row per key; each check
+  counts each distinct (a, c) row once and weights it by its number of
+  inputs m.  That gives the counts of all q^(UV + n) tuples exactly: the m
+  blocks hold that row's (a, c) pairs m times, each time with another
+  input b.  The identity is tested on the joint table's nonzero cells
+  only, once per distinct block, which decides it for the whole support
+  product: fix (a, c) with N(a,c) > 0 and sum the identity over the b of
+  its nonzero cells; that gives sum N(b,c) = N(c) over those b, so every
+  b with N(b,c) > 0 has a nonzero cell.  Every
   observation is linear in (w, z), so a check that fails anywhere fails at
   the cell of the all-zero tuple; a failing check reports that cell, the
   first of the support product in first-seen order, written from its shape.
@@ -365,11 +372,15 @@ def _code(digits, q: int) -> int:
 class _Tables:
     """What the exact oracle enumerates, built once for every check it serves.
 
-    Tuple k of the enumeration is (``inputs[k // len(masks)]``,
-    ``masks[k % len(masks)]``): every input vector w outer and every mask
-    vector z = H N inner, each in ``itertools.product`` order.  ``b[k]`` is
-    the index of that tuple's input and ``seen[relay][k]`` the base-q code of
-    what each observer (relay u, or the server as ``None``) receives from it.
+    Tuple (i, j) of the enumeration is (``inputs[i]``, ``masks[j]``): every
+    input vector w outer and every mask vector z = H N inner, each in
+    ``itertools.product`` order, and its b code is i.  The tuples that share
+    an input form a block.  What an observer receives depends on w only
+    through w's sums over its groups, so ``seen[relay]`` (relay u, or the
+    server as ``None``) is a pair ``(keys, rows)``: ``keys[i]`` is those sums
+    for input i, and ``rows[keys[i]][j]`` the base-q code of what the
+    observer receives from tuple (i, j).  ``conditioning`` returns the same
+    pair for the value c a check conditions on.
     """
 
     def __init__(self, scheme: CoefficientScheme) -> None:
@@ -383,8 +394,6 @@ class _Tables:
             tuple(sum(h * x for h, x in zip(row, nvec)) % q for row in hrows)
             for nvec in itertools.product(range(q), repeat=scheme.n_source)
         ]
-        per_input = len(self.masks)
-        self.b = [i for i in range(len(self.inputs)) for _ in range(per_input)]
         # A relay sees each cluster member's w + z; the server sees each
         # cluster's sum of them.
         clusters = [
@@ -395,23 +404,23 @@ class _Tables:
             groups = clusters if relay is None else [(i,) for i in clusters[relay - 1]]
             self.seen[relay] = self._observed(groups)
 
-    def _observed(self, groups) -> list[int]:
-        """Per tuple, the code of the sums of w_i + z_i over i in each group, mod q."""
+    def _observed(self, groups) -> tuple[list, dict]:
+        """Keys and rows of the code of the sums of w_i + z_i over i in each group, mod q."""
         q = self.q
 
         def part(x):
             return tuple(sum(x[i] for i in g) % q for g in groups)
 
         z_parts = [part(z) for z in self.masks]
-        return self._per_tuple(
+        return _keyed(
             [part(w) for w in self.inputs],
             lambda wp: [_code([(x + y) % q for x, y in zip(wp, zp)], q) for zp in z_parts],
         )
 
-    def conditioning(self, tset: CollusionSet, server: bool) -> list[int]:
-        """Per tuple, the code of the value c the check conditions on: digits
-        for the total input sum (server only), the colluders' inputs and then
-        their masks."""
+    def conditioning(self, tset: CollusionSet, server: bool) -> tuple[list, dict]:
+        """Keys and rows of the code of the value c the check conditions on:
+        digits for the total input sum (server only), the colluders' inputs
+        and then their masks."""
         q, idx = self.q, [self.index[t] for t in tset]
         c_w = [
             _code(([sum(w) % q] if server else []) + [w[i] for i in idx], q)
@@ -419,33 +428,49 @@ class _Tables:
         ]
         c_z = [_code([z[i] for i in idx], q) for z in self.masks]
         shift = q ** len(idx)
-        return self._per_tuple(c_w, lambda cw: [cw * shift + cz for cz in c_z])
+        return _keyed(c_w, lambda cw: [cw * shift + cz for cz in c_z])
 
-    def _per_tuple(self, w_keys: list, row) -> list[int]:
-        """Per tuple, ``row(w_keys[i])[j]`` for the tuple (inputs[i], masks[j]);
-        ``row`` is called once per distinct key."""
-        rows = {key: row(key) for key in set(w_keys)}
-        return list(itertools.chain.from_iterable(map(rows.__getitem__, w_keys)))
+
+def _keyed(keys: list, row) -> tuple[list, dict]:
+    """``keys`` and, per distinct key in first-seen order, ``row(key)``."""
+    return keys, {key: row(key) for key in dict.fromkeys(keys)}
 
 
 def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> IndependenceVerdict:
-    """Count every tuple of ``tables`` into the check's contingency table and
-    test the count-product identity on its nonzero cells."""
-    a_codes, b_codes = tables.seen[relay], tables.b
-    c_codes = tables.conditioning(tset, relay is None)
-    n_abc = Counter(zip(a_codes, b_codes, c_codes))
-    n_c = Counter(c_codes)
-    n_ac = Counter(zip(a_codes, c_codes))
-    n_bc = Counter(zip(b_codes, c_codes))
-    total = len(b_codes)
-    if all(n * n_c[c] == n_ac[a, c] * n_bc[b, c] for (a, b, c), n in n_abc.items()):
+    """Count the check's contingency table block by block and test the
+    count-product identity on its nonzero cells.
+
+    The m inputs with one block key share their a and c rows, so N(a,b,c)
+    for each of them as b is the count of (a, c) in those rows and N(b,c)
+    the count of c; those m inputs add m times the former to N(a,c) and m
+    times the latter to N(c).  These are the counts of every tuple, with
+    one counting per block key.
+    """
+    a_keys, a_rows = tables.seen[relay]
+    c_keys, c_rows = tables.conditioning(tset, relay is None)
+    n_bc = {key: Counter(row) for key, row in c_rows.items()}  # of any input with the key
+    n_abc = {}  # per block key (ka, kc), of any input in the block
+    n_c, n_ac = Counter(), Counter()
+    for (ka, kc), m in Counter(zip(a_keys, c_keys)).items():
+        cells = n_abc[ka, kc] = Counter(zip(a_rows[ka], c_rows[kc]))
+        for ac, n in cells.items():
+            n_ac[ac] += m * n
+        for c, n in n_bc[kc].items():
+            n_c[c] += m * n
+    total = len(tables.inputs) * len(tables.masks)
+    if all(
+        n * n_c[c] == n_ac[a, c] * n_bc[kc][c]
+        for (_, kc), cells in n_abc.items()
+        for (a, c), n in cells.items()
+    ):
         return IndependenceVerdict(True, relay, tset, total)
 
     # Some cell fails.  Every observation is linear in (w, z), so the cell of
-    # tuple 0, where w = 0 and z = 0, fails too; it is the witness, and its
-    # field values are zeros in the shape of c, a and b.
-    a, b, c = a_codes[0], b_codes[0], c_codes[0]
-    counts = (n_abc[a, b, c], n_c[c], n_ac[a, c], n_bc[b, c])
+    # tuple (0, 0), where w = 0 and z = 0, fails too; it is the witness, and
+    # its field values are zeros in the shape of c, a and b.
+    ka, kc = a_keys[0], c_keys[0]
+    a, c = a_rows[ka][0], c_rows[kc][0]
+    counts = (n_abc[ka, kc][a, c], n_c[c], n_ac[a, c], n_bc[kc][c])
     if counts[0] * counts[1] == counts[2] * counts[3]:
         raise AssertionError("a failing linear check must fail at the all-zero cell")
     cell = (
@@ -471,13 +496,14 @@ def exact_independence_check(
     masks?
 
     Builds the integer-coded tables that ``exact_sweep`` builds once for
-    all of its checks, and decides the check as the sweep does: every one
-    of the q^(UV + n) (W, N) tuples is counted into the contingency table,
-    and the count-product identity is tested on the nonzero cells, which
-    decides it for every cell of the support product (see the module
-    docstring).  A failing check reports the cell of the all-zero tuple,
-    where every linear check that fails also fails, as its witness, written
-    from its shape.  Exact integers only.
+    all of its checks, and decides the check as the sweep does: the counts
+    of all q^(UV + n) (W, N) tuples are taken block by block, each block of
+    inputs that the check cannot tell apart counted once and weighted by
+    its size, and the count-product identity is tested once per block on
+    its nonzero cells, which decides it for every cell of the support
+    product (see the module docstring).  A failing check reports the cell
+    of the all-zero tuple, where every linear check that fails also fails,
+    as its witness, written from its shape.  Exact integers only.
     """
     _check_labels(scheme, tset, relay)
     total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
@@ -496,7 +522,9 @@ def exact_sweep(
     ``cap`` bounds the whole sweep: when the planned checks times the
     q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised before
     anything is enumerated.  The tables are built once and shared by every
-    check; each check still counts all q^(UV + n) tuples.
+    check; each check takes the counts of all q^(UV + n) tuples, which it
+    reports as ``tuples_enumerated``, by counting each distinct block of
+    inputs once and weighting it by its size.
     """
     cfg = scheme.cfg
     tuples = scheme.field.q ** (cfg.n_users + scheme.n_source)

@@ -74,6 +74,9 @@ AUDIT_434 = "7f9ca8f610f5004cce667c771730dbfbd029da70849677ca9132d97b2daa5a6e"
 # 4 and 102 server violations, over 74,465 and 88,312 checks
 VANDERMONDE_446 = _vandermonde(4, 4, 6, 31, 7)
 VANDERMONDE_635 = _vandermonde(6, 3, 5, 103, 8)
+# (2, 2, 1) at (5, 2): 15 exact checks of 5^7 = 78,125 tuples, all passing;
+# each check counts its 625 inputs in blocks of 5 or 25 that it cannot tell apart
+VANDERMONDE_221 = _vandermonde(2, 2, 1, 5, 2)
 
 SWEEP = ["rates", "--sweep", "U=2..5", "V=1..4", "T=0..12"]
 # on stdout and in the file --out writes alike
@@ -95,6 +98,8 @@ PINS = [
      "1b1b2fbdf9f9e8a2c51689d7237c9843c6a86698fa687f7fb4b6c48e183adf62"),
     (["audit"], VANDERMONDE_635, 5,
      "ef9f90b06c06d99875c8e578516e51ae7ceaef942ac231a4f9d50277487c684c"),
+    (["audit", "--exact"], VANDERMONDE_221, 0,
+     "7c4cc57a275601b75ac3c957d2bc63e48b5bb16e0d64a85f304e9ae76f1de53b"),
     (["audit", "--pretty"], CLEAN, 0,
      "7ce9e08318d6b1d09eb0e6fd7bed9422b9b2a9ec2330c8868933a10648af8559"),
     (["audit", "--pretty"], LEAKY, 5,
@@ -108,7 +113,8 @@ PINS = [
     ids=[
         "rates-csv", "rates-json", "audit-clean", "exact-clean", "audit-leaky", "exact-leaky",
         "audit-vandermonde-434", "audit-external-434", "audit-vandermonde-446",
-        "audit-vandermonde-635", "audit-pretty-clean", "audit-pretty-leaky",
+        "audit-vandermonde-635", "exact-vandermonde-221", "audit-pretty-clean",
+        "audit-pretty-leaky",
     ],
 )
 def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, scheme, code, digest):

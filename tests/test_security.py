@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -520,6 +521,19 @@ def _reference_exact_check(scheme, tset, relay=None) -> IndependenceVerdict:
     return IndependenceVerdict(True, relay, tset, total)
 
 
+def _block_sizes(scheme, tset, relay=None) -> list[int]:
+    """Per input, in order, how many inputs share its block: the inputs whose
+    (a, c) pairs over all source draws, in order, equal its own."""
+    rows = [
+        tuple((a, c) for a, _, c in group)
+        for _, group in itertools.groupby(
+            _observations(scheme, tset, relay), key=lambda obs: obs[1]
+        )
+    ]
+    sizes = Counter(rows)
+    return [sizes[row] for row in rows]
+
+
 def _random_oracle_scheme(rng: random.Random, limit: int) -> CoefficientScheme:
     """A ``_random_scheme`` over F_2, F_3 or F_5 whose exact sweep counts at
     most ``limit`` tuples, with at most 2*10^4 per check; a zero-sum one is
@@ -539,6 +553,7 @@ def test_exact_sweep_matches_reference_oracle():
     # the integer-coded sweep against the oracle it replaced, witness included
     rng = random.Random(20261018)
     failing = set()
+    shared, shared_witnesses = set(), 0  # modes with a block of 2+ inputs; witnesses in one
     for _ in range(60):
         scheme = _random_oracle_scheme(rng, 2 * 10**4)
         expected = [
@@ -549,8 +564,18 @@ def test_exact_sweep_matches_reference_oracle():
         failing.update(
             (v["mode"], bool(v["collusion"])) for v in expected if not v["passed"]
         )
+        for (tset, relay), v in zip(_checks(scheme.cfg), expected):
+            sizes = _block_sizes(scheme, tset, relay)
+            if max(sizes) >= 2:
+                shared.add(v["mode"])
+            # the witness is the all-zero tuple's cell, in input 0's block
+            shared_witnesses += not v["passed"] and sizes[0] >= 2
     # every shape of witness was compared: with and without colluders, both modes
     assert failing == {(mode, t) for mode in ("relay", "server") for t in (False, True)}
+    # the sweep counts a block once, weighted by its inputs; the reference
+    # counts every tuple, so blocks of several inputs were compared too
+    assert shared == {"relay", "server"}
+    assert shared_witnesses
 
 
 def test_exact_witness_counts_recount():
@@ -586,8 +611,14 @@ def test_exact_codes_decode_to_observations():
         scheme = _random_oracle_scheme(rng, 10**4)
         tables = _Tables(scheme)
         for tset, relay in _checks(scheme.cfg):
-            codes = zip(
-                tables.conditioning(tset, relay is None), tables.seen[relay], tables.b
+            (c_keys, c_rows), (a_keys, a_rows) = (
+                tables.conditioning(tset, relay is None), tables.seen[relay]
+            )
+            # tuple (i, j) is (inputs[i], masks[j]), and its b code is i
+            codes = (
+                (c_rows[c_keys[i]][j], a_rows[a_keys[i]][j], i)
+                for i in range(len(tables.inputs))
+                for j in range(len(tables.masks))
             )
             plain = _observations(scheme, tset, relay)
             pairs = [set(), set(), set()]  # (code, value) for c, a and b
