@@ -57,14 +57,14 @@ def _report(args, obj, text: str, out: str | None = None) -> None:
     """Write ``obj`` as JSON under --json, else ``text``, to ``out`` or stdout."""
     text = _dump(obj, args.pretty) if args.json else text
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 def _load_scheme(path: str) -> schemes.CoefficientScheme:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     # ValueError covers bad JSON, bytes that do not decode and integers past
     # the int-string limit; RecursionError, nesting past the recursion limit.
     except (OSError, ValueError, RecursionError) as exc:
@@ -112,7 +112,9 @@ def cmd_build(args) -> int:
         scheme = schemes.build_baseline(cfg, args.q, args.force_infeasible)
     else:
         scheme = schemes.build_scheme(cfg, q_hint=args.q)
-    Path(args.out).write_text(schemes.scheme_to_json(scheme, pretty=args.pretty))
+    Path(args.out).write_text(
+        schemes.scheme_to_json(scheme, pretty=args.pretty), encoding="utf-8"
+    )
     gamma = scheme.params.gamma
     _report(
         args,
@@ -136,7 +138,8 @@ def cmd_simulate(args) -> int:
     observed = protocol.measure_rates(transcript)
     if args.transcript:
         Path(args.transcript).write_text(
-            _dump(protocol.transcript_to_json_obj(transcript, args.scheme), args.pretty)
+            _dump(protocol.transcript_to_json_obj(transcript, args.scheme), args.pretty),
+            encoding="utf-8",
         )
     _report(
         args,

@@ -30,18 +30,24 @@ Two layers of checking:
   through the colluders' inputs (and the total, for the server), so all
   inputs with the same such key have blocks with the same row of (a, c)
   over the masks.  The a rows are tabulated as base-q integer codes once
-  per sweep and the c rows once per check, one row per key; each check
-  counts each distinct (a, c) row once and weights it by its number of
-  inputs m.  That gives the counts of all q^(UV + n) tuples exactly: the m
-  blocks hold that row's (a, c) pairs m times, each time with another
-  input b.  The identity is tested on the joint table's nonzero cells
-  only, once per distinct block, which decides it for the whole support
-  product: fix (a, c) with N(a,c) > 0 and sum the identity over the b of
-  its nonzero cells; that gives sum N(b,c) = N(c) over those b, so every
-  b with N(b,c) > 0 has a nonzero cell.  Every
-  observation is linear in (w, z), so a check that fails anywhere fails at
-  the cell of the all-zero tuple; a failing check reports that cell, the
-  first of the support product in first-seen order, written from its shape.
+  per sweep, each the sum of one precomputed row per digit, and the c rows
+  once per collusion set for the relays and once for the server, one row
+  per key.  A check codes each (a, c) pair as the one integer
+  a * width + c, width being q to the number of digits of c: every c code
+  is below width, so two pairs share a code only if they are equal.  It
+  counts each distinct (a, c) row once, weighted by its number of inputs
+  m; a block of one input, which is every server block when V = 1, goes to
+  N(a,c) through ``Counter.update`` with no weighting.  That gives the
+  counts of all q^(UV + n) tuples exactly: the m blocks hold that row's
+  (a, c) pairs m times, each time with another input b.  The identity is
+  tested on the joint table's nonzero cells only, once per distinct block,
+  which decides it for the whole support product: fix (a, c) with
+  N(a,c) > 0 and sum the identity over the b of its nonzero cells; that
+  gives sum N(b,c) = N(c) over those b, so every b with N(b,c) > 0 has a
+  nonzero cell.  Every observation is linear in (w, z), so a check that
+  fails anywhere fails at the cell of the all-zero tuple; a failing check
+  reports that cell, the first of the support product in first-seen order,
+  written from its shape, with its four counts read at its cell code.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -379,8 +385,10 @@ class _Tables:
     through w's sums over its groups, so ``seen[relay]`` (relay u, or the
     server as ``None``) is a pair ``(keys, rows)``: ``keys[i]`` is those sums
     for input i, and ``rows[keys[i]][j]`` the base-q code of what the
-    observer receives from tuple (i, j).  ``conditioning`` returns the same
-    pair for the value c a check conditions on.
+    observer receives from tuple (i, j), built as the sum of one row per
+    digit.  ``conditioning`` returns the same pair for the value c a check
+    conditions on, and ``side`` adds the counts that the relay checks of a
+    collusion set share.
     """
 
     def __init__(self, scheme: CoefficientScheme) -> None:
@@ -405,16 +413,21 @@ class _Tables:
             self.seen[relay] = self._observed(groups)
 
     def _observed(self, groups) -> tuple[list, dict]:
-        """Keys and rows of the code of the sums of w_i + z_i over i in each group, mod q."""
-        q = self.q
+        """Keys and rows of the code of the sums of w_i + z_i over i in each group, mod q.
 
-        def part(x):
-            return tuple(sum(x[i] for i in g) % q for g in groups)
-
-        z_parts = [part(z) for z in self.masks]
+        Digit i of a code is group i's sum times q**(k - 1 - i), k groups in
+        all.  Its row over the masks is tabulated once for each value a of
+        the group's input sum, so a key's row is the elementwise sum of the
+        k digit rows its sums name."""
+        q, k = self.q, len(groups)
+        digits = []
+        for i, g in enumerate(groups):
+            zp = [sum(z[x] for x in g) % q for z in self.masks]
+            weight = q ** (k - 1 - i)
+            digits.append([[(a + y) % q * weight for y in zp] for a in range(q)])
         return _keyed(
-            [part(w) for w in self.inputs],
-            lambda wp: [_code([(x + y) % q for x, y in zip(wp, zp)], q) for zp in z_parts],
+            [tuple(sum(w[x] for x in g) % q for g in groups) for w in self.inputs],
+            lambda key: list(map(sum, zip(*(d[a] for d, a in zip(digits, key))))),
         )
 
     def conditioning(self, tset: CollusionSet, server: bool) -> tuple[list, dict]:
@@ -430,47 +443,76 @@ class _Tables:
         shift = q ** len(idx)
         return _keyed(c_w, lambda cw: [cw * shift + cz for cz in c_z])
 
+    def side(self, tset: CollusionSet, server: bool) -> "_Side":
+        """The conditioning side of the checks of ``tset``: the server's, or
+        that of every relay, which do not differ."""
+        keys, rows = self.conditioning(tset, server)
+        n_bc = {key: Counter(row) for key, row in rows.items()}
+        n_c = Counter()
+        for key, m in Counter(keys).items():
+            for c, n in n_bc[key].items():
+                n_c[c] += m * n
+        return _Side(keys, rows, n_bc, n_c, self.q ** (2 * len(tset) + server))
+
+
+class _Side(namedtuple("_Side", "keys rows n_bc n_c width")):
+    """What the checks of one collusion set share besides the a rows, for the
+    relays or for the server: ``keys`` and ``rows`` as ``conditioning``
+    gives them, ``n_bc[key]`` the count of each c in that key's row (N(b,c)
+    of any input b with the key), ``n_c`` the count of each c over all
+    tuples, each key's row counted once and weighted by its number of
+    inputs, and ``width``, q to the number of digits of a c code.  Every c
+    code is below ``width``, so ``divmod(code, width)`` gives the pair
+    (a, c) back from its cell code ``a * width + c``: one integer stands for
+    one pair, and ``code % width`` is its c."""
+
+    __slots__ = ()
+
 
 def _keyed(keys: list, row) -> tuple[list, dict]:
     """``keys`` and, per distinct key in first-seen order, ``row(key)``."""
     return keys, {key: row(key) for key in dict.fromkeys(keys)}
 
 
-def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> IndependenceVerdict:
+def _decide(
+    tables: _Tables, tset: CollusionSet, relay: int | None, side: _Side
+) -> IndependenceVerdict:
     """Count the check's contingency table block by block and test the
     count-product identity on its nonzero cells.
 
-    The m inputs with one block key share their a and c rows, so N(a,b,c)
-    for each of them as b is the count of (a, c) in those rows and N(b,c)
-    the count of c; those m inputs add m times the former to N(a,c) and m
-    times the latter to N(c).  These are the counts of every tuple, with
-    one counting per block key.
+    Each (a, c) pair is one integer, its cell code ``a * width + c`` (see
+    ``_Side``).  The m inputs with one block key share their a and c rows,
+    so N(a,b,c) for each of them as b is the count of a cell code in the
+    block's row, and the m inputs add m times that count to N(a,c).  A
+    block of one input adds its codes to N(a,c) as they stand, counted in
+    ``Counter.update``; a larger one adds each distinct cell once, weighted.
+    N(b,c) and N(c) come from ``side``, which the relay checks of a
+    collusion set share.  These are the counts of every tuple, with one
+    counting per block key.
     """
     a_keys, a_rows = tables.seen[relay]
-    c_keys, c_rows = tables.conditioning(tset, relay is None)
-    n_bc = {key: Counter(row) for key, row in c_rows.items()}  # of any input with the key
-    n_abc = {}  # per block key (ka, kc), of any input in the block
-    n_c, n_ac = Counter(), Counter()
+    c_keys, c_rows, n_bc, n_c, width = side
+    n_ac = Counter()
+    blocks = {}  # per block key (ka, kc), the cell counts of any input in the block
     for (ka, kc), m in Counter(zip(a_keys, c_keys)).items():
-        cells = n_abc[ka, kc] = Counter(zip(a_rows[ka], c_rows[kc]))
-        for ac, n in cells.items():
-            n_ac[ac] += m * n
-        for c, n in n_bc[kc].items():
-            n_c[c] += m * n
+        codes = [a * width + c for a, c in zip(a_rows[ka], c_rows[kc])]
+        cells = blocks[ka, kc] = Counter(codes)
+        if m == 1:
+            n_ac.update(codes)
+        else:
+            for code, n in cells.items():
+                n_ac[code] += m * n
     total = len(tables.inputs) * len(tables.masks)
-    if all(
-        n * n_c[c] == n_ac[a, c] * n_bc[kc][c]
-        for (_, kc), cells in n_abc.items()
-        for (a, c), n in cells.items()
-    ):
+    if _identity_holds(blocks, n_ac, n_bc, n_c, width):
         return IndependenceVerdict(True, relay, tset, total)
 
     # Some cell fails.  Every observation is linear in (w, z), so the cell of
     # tuple (0, 0), where w = 0 and z = 0, fails too; it is the witness, and
     # its field values are zeros in the shape of c, a and b.
     ka, kc = a_keys[0], c_keys[0]
-    a, c = a_rows[ka][0], c_rows[kc][0]
-    counts = (n_abc[ka, kc][a, c], n_c[c], n_ac[a, c], n_bc[kc][c])
+    c = c_rows[kc][0]
+    code = a_rows[ka][0] * width + c
+    counts = (blocks[ka, kc][code], n_c[c], n_ac[code], n_bc[kc][c])
     if counts[0] * counts[1] == counts[2] * counts[3]:
         raise AssertionError("a failing linear check must fail at the all-zero cell")
     cell = (
@@ -479,6 +521,17 @@ def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> Independe
         tables.inputs[0],
     )
     return IndependenceVerdict(False, relay, tset, total, witness=cell + counts)
+
+
+def _identity_holds(blocks: dict, n_ac: Counter, n_bc: dict, n_c: Counter, width: int) -> bool:
+    """Whether N(a,b,c) * N(c) == N(a,c) * N(b,c) on every block's cells."""
+    for (_, kc), cells in blocks.items():
+        bc = n_bc[kc]
+        for code, n in cells.items():
+            c = code % width
+            if n * n_c[c] != n_ac[code] * bc[c]:
+                return False
+    return True
 
 
 def exact_independence_check(
@@ -511,7 +564,8 @@ def exact_independence_check(
         raise AuditBudgetExceeded(
             f"exact check needs {total} tuples, cap is {cap}; refusing to sample"
         )
-    return _decide(_Tables(scheme), tset, relay)
+    tables = _Tables(scheme)
+    return _decide(tables, tset, relay, tables.side(tset, relay is None))
 
 
 def exact_sweep(
@@ -522,9 +576,12 @@ def exact_sweep(
     ``cap`` bounds the whole sweep: when the planned checks times the
     q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised before
     anything is enumerated.  The tables are built once and shared by every
-    check; each check takes the counts of all q^(UV + n) tuples, which it
-    reports as ``tuples_enumerated``, by counting each distinct block of
-    inputs once and weighting it by its size.
+    check, and the conditioning side (c rows, N(b,c) and N(c)) once per
+    collusion set for the U relay checks, which condition on the same c,
+    and once for the server check.  Each check takes the counts of all
+    q^(UV + n) tuples, which it reports as ``tuples_enumerated``, by
+    counting each distinct block of inputs once and weighting it by its
+    size.
     """
     cfg = scheme.cfg
     tuples = scheme.field.q ** (cfg.n_users + scheme.n_source)
@@ -533,7 +590,12 @@ def exact_sweep(
             f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
         )
     tables = _Tables(scheme)
-    return [_decide(tables, tset, relay) for tset, relay in _checks(cfg)]
+    verdicts = []
+    for tset, relay in _checks(cfg):
+        if relay in (1, None):  # a set's first relay check, or its server check
+            side = tables.side(tset, relay is None)
+        verdicts.append(_decide(tables, tset, relay, side))
+    return verdicts
 
 
 def infeasibility_attack(

@@ -555,6 +555,30 @@ def test_unwritable_output_path_exit_2(golden_f3_file, tmp_path, capsys, command
     assert not target.exists()
 
 
+def test_file_io_does_not_depend_on_the_locale(tmp_path, monkeypatch, capsys):
+    # Files are read and written as UTF-8 whatever the locale: an interpreter
+    # that turns every fallback on the locale's encoding into an error still
+    # exits and writes exactly as an in-process run does.
+    strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "hsagg.cli"]
+    steps = [
+        (["build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", "s.json"], "s.json"),
+        (["audit", "--scheme", "s.json"], None),
+        (["simulate", "--scheme", "s.json", "--transcript", "t.json"], "t.json"),
+        (["rates", "--U", "2", "--V", "3", "--T", "1", "--out", "r.csv"], "r.csv"),
+    ]
+    strict_dir, plain_dir = tmp_path / "strict", tmp_path / "plain"
+    strict_dir.mkdir()
+    plain_dir.mkdir()
+    monkeypatch.chdir(plain_dir)
+    for argv, written in steps:
+        proc = run_process(strict + argv, strict_dir, 60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+        if written is not None:
+            assert (strict_dir / written).read_bytes() == (plain_dir / written).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # --pretty
 # ---------------------------------------------------------------------------

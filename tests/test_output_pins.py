@@ -28,6 +28,14 @@ LEAKY = {
     "H": {"q": 3, "rows": 4, "cols": 2, "data": [1, 0, 0, 1, 1, 1, 1, 1]},
     "row_index": [["1,1", 0], ["1,2", 1], ["2,1", 2], ["2,2", 3]],
 }
+# (3, 1, 1) over F_5 whose rows are all multiples of (1, 0): 10 of its 16 exact
+# checks fail, relay ones with a colluder and server ones with and without,
+# and with V = 1 every block of a server check holds one input
+LEAKY_311 = {
+    "U": 3, "V": 1, "T": 1, "q": 5,
+    "H": {"q": 5, "rows": 3, "cols": 2, "data": [1, 0, 1, 0, 3, 0]},
+    "row_index": [["1,1", 0], ["2,1", 1], ["3,1", 2]],
+}
 
 
 def _vandermonde(U, V, T, q, gamma):
@@ -104,6 +112,8 @@ PINS = [
      "7ce9e08318d6b1d09eb0e6fd7bed9422b9b2a9ec2330c8868933a10648af8559"),
     (["audit", "--pretty"], LEAKY, 5,
      "f2dac6c7a33a40d2ba5aa448bb4ae65169ba797a72fcc45210a3060d0fed1937"),
+    (["audit", "--exact"], LEAKY_311, 5,
+     "312030c1abb61072d9ed987c6f0732f3a0475a836fcaa8d94492d1653735d970"),
 ]
 
 
@@ -114,7 +124,7 @@ PINS = [
         "rates-csv", "rates-json", "audit-clean", "exact-clean", "audit-leaky", "exact-leaky",
         "audit-vandermonde-434", "audit-external-434", "audit-vandermonde-446",
         "audit-vandermonde-635", "exact-vandermonde-221", "audit-pretty-clean",
-        "audit-pretty-leaky",
+        "audit-pretty-leaky", "exact-leaky-311",
     ],
 )
 def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, scheme, code, digest):

@@ -554,6 +554,7 @@ def test_exact_sweep_matches_reference_oracle():
     rng = random.Random(20261018)
     failing = set()
     shared, shared_witnesses = set(), 0  # modes with a block of 2+ inputs; witnesses in one
+    single = set()  # verdicts of server checks whose blocks all hold one input
     for _ in range(60):
         scheme = _random_oracle_scheme(rng, 2 * 10**4)
         expected = [
@@ -570,12 +571,17 @@ def test_exact_sweep_matches_reference_oracle():
                 shared.add(v["mode"])
             # the witness is the all-zero tuple's cell, in input 0's block
             shared_witnesses += not v["passed"] and sizes[0] >= 2
+            if v["mode"] == "server" and max(sizes) == 1:
+                single.add(v["passed"])
     # every shape of witness was compared: with and without colluders, both modes
     assert failing == {(mode, t) for mode in ("relay", "server") for t in (False, True)}
     # the sweep counts a block once, weighted by its inputs; the reference
     # counts every tuple, so blocks of several inputs were compared too
     assert shared == {"relay", "server"}
     assert shared_witnesses
+    # and checks made of one-input blocks only, which go to N(a,c) uncounted
+    # by weight, passing and failing
+    assert single == {True, False}
 
 
 def test_exact_witness_counts_recount():
@@ -632,7 +638,10 @@ def test_exact_codes_decode_to_observations():
 def test_exact_sweep_equals_single_checks(golden_2x3_f3):
     # the tables shared by a sweep and those built for one check agree
     built = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
-    for scheme in (built, golden_2x3_f3):
+    # V = 1, as in the benchmark's file: every relay of a collusion set
+    # conditions on the same c, and the sweep computes that side once for them
+    single = build_scheme(HsaConfig(3, 1, 1), q_hint=5)
+    for scheme in (built, golden_2x3_f3, single):
         for subject, clean in ((scheme, True), (_zeroed_row(scheme, (1, 1)), False)):
             sweep = exact_sweep(subject)
             assert sweep == [
