@@ -9,12 +9,20 @@ process behavior:
     4  corrupt or malformed scheme / transcript
     5  security violation found by an audit
     6  enumeration budget exceeded
+
+``run()``, the ``hsa`` console script and ``python -m hsagg.cli``, ends the
+process with ``os._exit`` once ``main()`` has returned and both streams are
+flushed: tearing the interpreter down writes nothing and costs several
+milliseconds, a large share of a short command.  A flush that fails falls
+back to a normal exit, so a closed pipe is reported as Python reports it.
+``main()`` returns its exit code and leaves teardown to its caller.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from collections.abc import Sequence
@@ -295,7 +303,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -11,13 +11,17 @@ Two layers of checking:
   makes it dependent) on the colluders' rows.  Sampling would silently
   weaken a universally quantified guarantee, so the audit either runs the
   full enumeration or refuses with a budget error.  The audit does not
-  eliminate each matrix: one depth-first walk over the collusion sets,
-  ``_violations``, carries per node the ranks of U + 1 echelon bases and,
-  per basis, every user's row reduced modulo it; adding a colluder is one
-  elimination step of those residuals.  Every reduction goes through
-  ``fields._reduce``, the package's one row reduction, which
-  ``FqMatrix.rank`` also uses; this module defines none of its own.  The condition-matrix builders below stay as the per-check
-  oracle the tests compare the walk with.
+  eliminate each matrix: ``_violations`` makes one depth-first walk over
+  the collusion sets per observer, the server's and then each relay's,
+  each carrying per node the rank of one echelon basis and every walked
+  user's row reduced modulo it; adding a colluder is one elimination step
+  of those residuals.  Own-cluster colluders never raise a relay's rank,
+  so relay u walks only the users outside cluster u and reports each
+  deficient set with every own-cluster extension within T.  Every
+  reduction goes through ``fields._reduce``, the package's one row
+  reduction, which ``FqMatrix.rank`` also uses; this module defines none
+  of its own.  The condition-matrix builders below stay as the per-check
+  oracle the tests compare the walks with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
@@ -32,12 +36,13 @@ Two layers of checking:
   over the masks.  The a rows are tabulated as base-q integer codes once
   per sweep, each the sum of one precomputed row per digit, and the c rows
   once per collusion set for the relays and once for the server, one row
-  per key.  A check codes each (a, c) pair as the one integer
-  a * width + c, width being q to the number of digits of c: every c code
-  is below width, so two pairs share a code only if they are equal.  It
-  counts each distinct (a, c) row once, weighted by its number of inputs
-  m; a block of one input, which is every server block when V = 1, goes to
-  N(a,c) through ``Counter.update`` with no weighting.  That gives the
+  per key, their codes built one digit row at a time.  A check codes each
+  (a, c) pair as the one integer a * width + c, width being q to the
+  number of digits of c: every c code is below width, so two pairs share
+  a code only if they are equal.  It counts each distinct (a, c) row
+  once, weighted by its number of inputs m; a block of one input, which is
+  every server block when V = 1, goes to N(a,c) through
+  ``Counter.update`` with no weighting.  That gives the
   counts of all q^(UV + n) tuples exactly: the m blocks hold that row's
   (a, c) pairs m times, each time with another input b.  The identity is
   tested on the joint table's nonzero cells only, once per distinct block,
@@ -259,26 +264,82 @@ def _stepped(table: list, j: int, q: int) -> list:
     return table[:j + 1] + [_reduce(step, r, q) for r in table[j + 1:]]
 
 
-def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
-    """Yield a RankViolation for each failing check, in walk order.
+def _walk(
+    table: list, rank: int, floor: int, depth: int, q: int, cluster: int = 0
+) -> Iterator[tuple]:
+    """Yield (members, observed rank, required rank) for each deficient set of
+    at most ``depth`` of ``table``'s users, in walk order.
 
-    The collusion sets are walked as a prefix tree, users ascending.  The
-    ranks are read off U + 1 echelon bases: ``bases[u]`` spans cluster u and
-    the colluders, ``bases[U]``, the server's, the sums of clusters 1..U-1
-    and the colluders.  The latter spans the rows of
+    The sets are walked as a prefix tree, users ascending, against one
+    echelon basis of ``rank`` rows; ``table`` holds every user's row reduced
+    modulo it, and ``members`` are indices into ``table``.  No basis is
+    kept: each node carries its rank and a residual table (only the users
+    after its last member are read).  Adding user j raises the rank exactly
+    when j's residual is nonzero, and the child's table is one elimination
+    step of the parent's by that residual; a zero residual leaves the
+    parent's table to the child.  A set's required rank is ``floor`` plus
+    its size.  With ``cluster`` set, the users fall in clusters of that many
+    in order, and each cluster the set covers whole takes one off ``floor``,
+    down to 0.  The sets at the maximum depth, and those that end with the
+    last user and so have no children, are decided in their parent's loop,
+    each by one ``any`` of its residual.  A node is visited only as the
+    caller reads.
+    """
+    n = len(table)
+    members: list[int] = []
+    covered = [0] * (n // cluster if cluster else 0)  # members per cluster
+
+    def visit(rank: int, table: list, full: int, need: int):
+        size = len(members)
+        if rank < need:
+            yield tuple(members), rank, need
+        if size == depth:
+            return
+        leaf = size + 1 == depth
+        for j in range(members[-1] + 1 if members else 0, n):
+            child_full = full
+            if cluster:
+                c = j // cluster
+                covered[c] += 1
+                child_full += covered[c] == cluster
+            child_need = max(floor - child_full, 0) + size + 1
+            grow = any(table[j])
+            if leaf or j + 1 == n:
+                if rank + grow < child_need:
+                    yield (*members, j), rank + grow, child_need
+            else:
+                members.append(j)
+                child_table = _stepped(table, j, q) if grow else table
+                yield from visit(rank + grow, child_table, child_full, child_need)
+                members.pop()
+            if cluster:
+                covered[c] -= 1
+
+    return visit(rank, table, 0, floor)
+
+
+def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
+    """Yield a RankViolation for each failing check: the server's walk, then
+    relay 1's to relay U's.
+
+    Each observer's checks are one ``_walk`` against one basis.  The
+    server's basis spans the sums of clusters 1..U-1, and it walks all UV
+    users with required rank kept + |C|, the full clusters counted as they
+    are added.  That basis and the colluders span the rows of
     ``server_condition_matrix`` only because the coefficient rows sum to
     zero: a covered cluster's sum lies in the colluders' span, and the last
-    uncovered cluster's sum is minus the others.  Past the setup no basis is
-    kept: each node carries, per basis, its rank and a residual table, every
-    user's row reduced modulo the basis (only the users after the node's
-    last colluder are read).  Adding user j raises a rank exactly when j's residual is
-    nonzero, and the child's table is one elimination step of the parent's
-    by that residual.  A zero residual leaves the parent's table to the
-    child, and so does a child at the maximum depth, which reads no table.
-    The depth refusal, the rows and the root's tables are set up on the
-    call, but a node is visited only as the caller reads, so a pass/fail
-    caller stops at the first item: ``next(_violations(scheme), None) is
-    None``.
+    uncovered cluster's sum is minus the others.  Relay u's basis spans
+    cluster u, whose members never raise its rank when they collude, so its
+    check at C gives the same result as at C less cluster u: it walks only
+    the UV - V users outside cluster u, with required rank V + |D|, which is
+    not the basis's size when cluster u's rows are dependent.  Each
+    deficient D yields one violation for every C = D + S with S a subset of
+    cluster u and |C| <= T, all with D's ranks.  The server goes first, so
+    a walk that reaches the largest sets gets there before a relay lists
+    the own-cluster supersets of a small one.  The depth refusal, the rows
+    and every walk's starting table are set up on the call, but a set is
+    visited only as the caller reads, so a pass/fail caller stops at the
+    first item: ``next(_violations(scheme), None) is None``.
     """
     cfg = scheme.cfg
     depth = _set_sizes(cfg)[-1]
@@ -288,40 +349,34 @@ def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
         )
     q, U, V, users = scheme.field.q, cfg.U, cfg.V, cfg.users()
     rows = [scheme.coefficient_row(*user) for user in users]
-    bases = [_span(rows[u * V:(u + 1) * V], q) for u in range(U)]
-    bases.append(_span([_cluster_sum_row(scheme, u) for u in range(1, U)], q))
-    covered = [0] * U  # colluders per cluster
-    members: list[int] = []
 
-    def visit(ranks: list[int], tables: list) -> Iterator[RankViolation]:
-        size = len(members)
-        # the server matrix stacks the sums of all uncovered clusters but the last
-        kept = max(U - covered.count(V) - 1, 0)
-        tset = None
-        for u, rank in enumerate(ranks):
-            required = (V - covered[u] if u < U else kept) + size
-            if rank < required:
-                if tset is None:
-                    tset = CollusionSet(tuple(users[j] for j in members))
-                yield RankViolation(u + 1 if u < U else None, tset, rank, required)
-        if size == depth:
-            return
-        deeper = size + 1 < depth  # whether the children's tables are read
-        for j in range(members[-1] + 1 if members else 0, len(users)):
-            grows = [any(table[j]) for table in tables]
-            child_ranks = [rank + grow for rank, grow in zip(ranks, grows)]
-            child_tables = tables
-            if deeper:
-                child_tables = [
-                    _stepped(table, j, q) if grow else table for table, grow in zip(tables, grows)
-                ]
-            members.append(j)
-            covered[j // V] += 1
-            yield from visit(child_ranks, child_tables)
-            covered[j // V] -= 1
-            members.pop()
+    def start(spanned: list, walked: list) -> tuple[list, int]:
+        basis = _span(spanned, q)
+        return [_reduce(basis, row, q) for row in walked], len(basis)
 
-    return visit([len(b) for b in bases], [[_reduce(b, row, q) for row in rows] for b in bases])
+    sums = [_cluster_sum_row(scheme, u) for u in range(1, U)]
+    server = _walk(*start(sums, rows), U - 1, depth, q, V)
+    relays = []
+    for u in range(1, U + 1):
+        lo, hi = (u - 1) * V, u * V
+        table, rank = start(rows[lo:hi], rows[:lo] + rows[hi:])
+        relays.append((u, lo, _walk(table, rank, V, min(depth, len(table)), q)))
+
+    def violations() -> Iterator[RankViolation]:
+        for members, observed, required in server:
+            yield RankViolation(None, CollusionSet(users[j] for j in members), observed, required)
+        for u, lo, walk in relays:
+            own, outside = users[lo:lo + V], users[:lo] + users[lo + V:]
+            for members, observed, required in walk:
+                split = sum(j < lo for j in members)
+                before = tuple(outside[j] for j in members[:split])
+                after = tuple(outside[j] for j in members[split:])
+                for t in range(min(V, depth - len(members)) + 1):
+                    for extra in itertools.combinations(own, t):
+                        tset = CollusionSet(before + extra + after)
+                        yield RankViolation(u, tset, observed, required)
+
+    return violations()
 
 
 def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> AuditReport:
@@ -367,12 +422,13 @@ class IndependenceVerdict(
         }
 
 
-def _code(digits, q: int) -> int:
-    """The base-q integer whose digits, most significant first, are ``digits``."""
-    code = 0
-    for d in digits:
-        code = code * q + d
-    return code
+def _codes(digits: list, q: int, n: int) -> list[int]:
+    """The n base-q integers whose digits, most significant first, are the
+    entries of the rows of ``digits`` at each position."""
+    codes = [0] * n
+    for row in digits:
+        codes = [c * q + d for c, d in zip(codes, row)]
+    return codes
 
 
 class _Tables:
@@ -402,6 +458,11 @@ class _Tables:
             tuple(sum(h * x for h, x in zip(row, nvec)) % q for row in hrows)
             for nvec in itertools.product(range(q), repeat=scheme.n_source)
         ]
+        # the digit rows of the conditioning codes: each user's w over the
+        # inputs and z over the masks, and the total input sum
+        self.w_rows = list(zip(*self.inputs))
+        self.z_rows = list(zip(*self.masks))
+        self.totals = [sum(w) % q for w in self.inputs]
         # A relay sees each cluster member's w + z; the server sees each
         # cluster's sum of them.
         clusters = [
@@ -433,13 +494,11 @@ class _Tables:
     def conditioning(self, tset: CollusionSet, server: bool) -> tuple[list, dict]:
         """Keys and rows of the code of the value c the check conditions on:
         digits for the total input sum (server only), the colluders' inputs
-        and then their masks."""
+        and then their masks, each code built from one row per digit."""
         q, idx = self.q, [self.index[t] for t in tset]
-        c_w = [
-            _code(([sum(w) % q] if server else []) + [w[i] for i in idx], q)
-            for w in self.inputs
-        ]
-        c_z = [_code([z[i] for i in idx], q) for z in self.masks]
+        w_digits = ([self.totals] if server else []) + [self.w_rows[i] for i in idx]
+        c_w = _codes(w_digits, q, len(self.inputs))
+        c_z = _codes([self.z_rows[i] for i in idx], q, len(self.masks))
         shift = q ** len(idx)
         return _keyed(c_w, lambda cw: [cw * shift + cz for cz in c_z])
 

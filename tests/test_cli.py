@@ -580,6 +580,75 @@ def test_file_io_does_not_depend_on_the_locale(tmp_path, monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the console script's exit
+# ---------------------------------------------------------------------------
+
+
+# every subcommand, and every failure class by its exit code
+EXIT_STEPS = [
+    (["rates", "--U", "2", "--V", "3", "--T", "1", "--out", "r.csv"], 0, "r.csv"),
+    (["build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", "s.json"], 0, "s.json"),
+    (["simulate", "--scheme", "s.json", "--L", "3", "--transcript", "t.json"], 0, "t.json"),
+    (["audit", "--scheme", "s.json"], 0, None),
+    (["audit", "--scheme", "s.json", "--exact"], 0, None),
+    (["attack", "--scheme", "s.json", "--rounds", "3"], 0, None),
+    (["compare", "--U", "3", "--V", "2", "--T", "2"], 0, None),
+    (["rates", "--U", "1", "--V", "3", "--T", "0"], 2, None),
+    (["compare", "--U", "2", "--V", "3", "--T", "3"], 3, None),
+    (["audit", "--scheme", "corrupt.json"], 4, None),
+    (["audit", "--scheme", "leaky.json", "--exact"], 5, None),
+    (["audit", "--scheme", "s.json", "--budget", "3"], 6, None),
+]
+
+
+def test_process_exits_as_main_returns(tmp_path, monkeypatch, capsys):
+    # ``python -m hsagg.cli`` ends the process without interpreter teardown
+    # once main() returns: its exit code, both streams and the files it
+    # writes are those of main() in process
+    from test_output_pins import LEAKY_311
+
+    process_dir, main_dir = tmp_path / "process", tmp_path / "main"
+    for directory in (process_dir, main_dir):
+        directory.mkdir()
+        (directory / "corrupt.json").write_text("{not json", encoding="utf-8")
+        (directory / "leaky.json").write_text(json.dumps(LEAKY_311), encoding="utf-8")
+    monkeypatch.chdir(main_dir)
+    for argv, code, written in EXIT_STEPS:
+        proc = run_process(["-m", "hsagg.cli", *argv], process_dir, 60)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+        if written is not None:
+            assert (process_dir / written).read_bytes() == (main_dir / written).read_bytes()
+
+
+def test_closed_pipe_exits_as_a_normal_exit_does(tmp_path):
+    # stdout's read end is closed, so the flush before the hard exit fails;
+    # the process then exits as sys.exit(main()) does: 120, with Python's
+    # report of the failed flush on stderr
+    argv = ["compare", "--U", "3", "--V", "2", "--T", "2"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    results = []
+    for command in (
+        ["-m", "hsagg.cli", *argv],
+        ["-c", f"import sys; from hsagg.cli import main; sys.exit(main({argv!r}))"],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *command], cwd=tmp_path, env=env, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        results.append((proc.returncode, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == 120 and "BrokenPipeError" in results[0][1]
+
+
+# ---------------------------------------------------------------------------
 # --pretty
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -9,7 +10,7 @@ import pytest
 
 from hsagg import security
 from hsagg.errors import AuditBudgetExceeded, CorrectnessViolation
-from hsagg.fields import FieldSpec, FqMatrix
+from hsagg.fields import FieldSpec, FqMatrix, _reduce, _span
 from hsagg.protocol import RoundInputs, run_round, sample_round
 from hsagg.rates import HsaConfig
 from hsagg.schemes import (
@@ -358,17 +359,88 @@ def test_walk_matches_condition_matrices_from_deficient_starting_spans(golden_3x
 
 
 def test_first_violation_is_read_before_any_extension(golden_2x3_f3, monkeypatch):
-    # cluster 1 has a zero row, so the empty set already leaks and the walk
-    # yields before it adds a colluder; past that item it does add them
-    scheme = _with_collusion_budget(_moved_row(golden_2x3_f3, (1, 2)), 2)
-    walk = _violations(scheme)  # the root's residual tables are built on the call
+    # cluster 1 sums to zero, so the empty set already leaks to the server,
+    # whose walk goes first, and, its rows being dependent, to relay 1: each
+    # walk yields before it adds a colluder; past that item it does add them
+    base = golden_2x3_f3
+    q = base.field.q
+    first, second = base.coefficient_row(1, 1), base.coefficient_row(1, 2)
+    dependent = [-(a + b) % q for a, b in zip(first, second)]
+    scheme = _with_collusion_budget(_replaced_row(base, (1, 3), dependent), 2)
+    walk = _violations(scheme)  # every walk's starting table is built on the call
+    rows = [scheme.coefficient_row(*user) for user in scheme.cfg.users()]
+    basis = _span(rows[:3], q)  # relay 1's walk over the users outside cluster 1
+    relay = security._walk([_reduce(basis, row, q) for row in rows[3:]], len(basis), 3, 2, q)
     calls = []
     reduce = security._reduce
     monkeypatch.setattr(security, "_reduce", lambda *a: calls.append(a) or reduce(*a))
-    assert next(walk) == RankViolation(1, CollusionSet(()), 2, 3)
+    assert next(walk) == RankViolation(None, CollusionSet(()), 0, 1)
+    assert next(relay) == ((), 2, 3)
     assert calls == []
     next(walk)
     assert calls
+    calls.clear()
+    next(relay)
+    assert calls
+
+
+def test_walk_visits_each_observers_sets_once(monkeypatch):
+    # one single-basis walk per observer: the server's over all 12 users and
+    # each relay's over the 9 outside its cluster, one ``any`` per set past
+    # the root and one elimination step per set below the maximum size that
+    # raises the rank and has users left to add
+    from test_output_pins import VANDERMONDE_434
+
+    scheme = import_scheme(VANDERMONDE_434)  # (4,3,4) at (23, 2): 10 server leaks
+    stepped, anys = Counter(), []
+    step = security._stepped
+    monkeypatch.setattr(
+        security, "_stepped", lambda t, j, q: stepped.update([len(t)]) or step(t, j, q)
+    )
+    monkeypatch.setattr(security, "any", lambda r: anys.append(r) or any(r), raising=False)
+    violations = list(_violations(scheme))
+    server_sets = sum(math.comb(12, t) for t in range(5))
+    relay_sets = sum(math.comb(9, t) for t in range(5))
+    assert (server_sets, relay_sets) == (794, 256)
+    assert len(anys) == (server_sets - 1) + 4 * (relay_sets - 1)
+    # the sets of 1 to 3 users without the last one; each raises each rank
+    # but the 3 server sets of one whole cluster among them
+    inner = sum(math.comb(11, t) for t in range(1, 4)), sum(math.comb(8, t) for t in range(1, 4))
+    assert stepped == {12: inner[0] - 3, 9: 4 * inner[1]}
+    assert len(violations) == 10 and all(v.relay is None for v in violations)
+
+
+def test_relay_violations_stay_under_own_cluster_colluders():
+    # an own-cluster colluder's row moves from the cluster's part of a relay's
+    # matrix to the colluders' part, so neither rank changes: a failing relay
+    # check fails, with the same ranks, for every collusion set that adds its
+    # own cluster's members within T
+    rng = random.Random(20241019)
+    closed = 0
+    for _ in range(60):
+        U, V = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+        q = rng.choice([2, 3, 5])
+        cfg = HsaConfig(U, V, rng.randint(V, U * V))
+        n = rng.randint(V, U * V)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(U * V)]
+        u = rng.randrange(U - 1)  # a cluster that the zero-sum fix below leaves alone
+        rows[u * V + 1] = [(a * rng.randrange(q)) % q for a in rows[u * V]]
+        rows[-1] = [(x - sum(col)) % q for x, col in zip(rows[-1], zip(*rows))]
+        scheme = CoefficientScheme(
+            SchemeParams(cfg, None),
+            FqMatrix.from_rows(FieldSpec.for_prime(q), rows),
+            dict(zip(cfg.users(), range(U * V))),
+            "external",
+        )
+        report = set(audit(scheme).violations)
+        for v in report:
+            if v.relay is None or len(v.collusion) == cfg.T:
+                continue
+            for member in set(itertools.product([v.relay], range(1, V + 1))) - set(v.collusion):
+                larger = CollusionSet.of([*v.collusion, member])
+                assert v._replace(collusion=larger) in report
+                closed += 1
+    assert closed > 1000
 
 
 def test_first_violation_decides_pass_fail():
