@@ -27,8 +27,12 @@ import sys
 from pathlib import Path
 from collections.abc import Sequence
 
-from . import protocol, rates, schemes, security
+# The commands that run the audit or the protocol import them, so that
+# build, rates and compare load neither.
+from . import rates, schemes
 from .errors import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_RANK_BUDGET,
     AuditBudgetExceeded,
     ConfigurationError,
     CorrectnessViolation,
@@ -140,6 +144,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import protocol
+
     scheme = _load_scheme(args.scheme)
     inputs, keys = protocol.sample_round(scheme, args.L, args.seed)
     transcript = protocol.run_round(scheme, inputs, keys)
@@ -171,6 +177,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import security
+
     for flag, value in (("--budget", args.budget), ("--q-cap", args.q_cap)):
         if value < 0:
             raise ConfigurationError(f"{flag} must be nonnegative, got {value}")
@@ -187,6 +195,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from . import protocol, security
+
     if args.rounds < 0:
         raise ConfigurationError(f"--rounds must be nonnegative, got {args.rounds}")
     if args.L <= 0:  # zero rounds never reach sample_round's own check
@@ -273,10 +283,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True)
     p.add_argument("--exact", action="store_true",
                    help="additionally run the brute-force independence oracle")
-    p.add_argument("--q-cap", type=int, default=security.DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--q-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="cap on the exact oracle's whole sweep: checks x q^(UV+n) tuples")
-    p.add_argument("--budget", type=int, default=security.DEFAULT_RANK_BUDGET,
-                   help="rank-check cap for the audit")
+    p.add_argument("--budget", type=int, default=DEFAULT_RANK_BUDGET,
+                   help="cap on the audit's walk: collusion sets visited over all observers")
 
     p = command("attack", cmd_attack, "run the oversized-collusion recovery attack")
     p.add_argument("--scheme", required=True)

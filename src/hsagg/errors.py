@@ -31,3 +31,10 @@ class CorrectnessViolation(ValueError):
 
 class AuditBudgetExceeded(RuntimeError):
     """An exhaustive check would exceed its configured enumeration cap."""
+
+
+# The default caps of ``hsa audit``, defined here so that the CLI can read
+# them without importing ``security``, which exports them too: the rank
+# audit's walk nodes (``--budget``) and the exact oracle's tuples (``--q-cap``).
+DEFAULT_RANK_BUDGET = 10**6
+DEFAULT_ENUMERATION_CAP = 10**7

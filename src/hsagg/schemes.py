@@ -11,6 +11,8 @@ geometrically spaced nodes (x_0 = 0, x_{i+1} - x_i = gamma^{i+1}) plus a
 parity row, searched over (q, gamma) until every n x n submatrix is
 certifiably nonsingular.  The search is deterministic: smallest valid q
 first, then smallest valid gamma; the nodes are recomputed from gamma.
+A gamma and its inverse get the same verdict, so the search certifies one
+of each pair, and it skips fields too small for UV - 1 distinct nodes.
 Each candidate's certificate evaluates the C(UV - 1, n - 1) parity-row
 minors from the nodes' power sums: a depth-first walk under a leaf budget
 refutes most failing candidates early, and a level-by-level pass over the
@@ -237,11 +239,12 @@ def _all_minors_nonzero(q: int, xs: tuple[int, ...], sums: list[int]) -> bool:
     The tree is split by its first pick i, and each subtree is evaluated
     one level at a time.  A level stores its moments as columns, with its
     nodes ordered by their last pick.  The next pick j may follow exactly
-    the nodes whose last pick is below j, a prefix of the level, so the
-    children of pick j are one list comprehension per moment column, and
-    laid out pick after pick they are again ordered by last pick.
-    ``counts`` holds the length of that prefix for each allowed pick.  The
-    leaves are checked pick by pick and never stored.
+    the nodes whose last pick is below j, a prefix of the level, so each
+    column of the next level is one list comprehension over the picks and
+    their prefixes, and laid out pick after pick its nodes are again
+    ordered by last pick.  ``counts`` holds the length of that prefix for
+    each allowed pick.  The last level holds one column, the subtree's
+    leaves, and a zero among them ends the pass.
     """
     m, depth = len(xs), len(sums) - 1
     for i in range(m - depth + 1):
@@ -249,34 +252,47 @@ def _all_minors_nonzero(q: int, xs: tuple[int, ...], sums: list[int]) -> bool:
         columns = [[(sums[t + 1] - x * sums[t]) % q] for t in range(depth)]
         picks = range(i + 1, m - depth + 2)
         counts = [1] * len(picks)
-        while len(columns) > 2:
-            children = [[] for _ in range(len(columns) - 1)]
-            for j, k in zip(picks, counts):
-                x = xs[j]
-                for child, low, high in zip(children, columns, columns[1:]):
-                    child += [(b - x * a) % q for a, b in zip(low[:k], high)]
-            columns = children
+        while len(columns) > 1:
+            steps = [(xs[j], k) for j, k in zip(picks, counts)]
+            columns = [
+                [(b - x * a) % q for x, k in steps for a, b in zip(low[:k], high)]
+                for low, high in zip(columns, columns[1:])
+            ]
             picks = range(picks.start + 1, picks.stop + 1)
             counts = list(accumulate(counts))
-        low, high = columns
-        for j, k in zip(picks, counts):
-            x = xs[j]
-            if 0 in [(b - x * a) % q for a, b in zip(low[:k], high)]:
-                return False
+        if 0 in columns[0]:
+            return False
     return True
 
 
 def search_gamma(cfg: HsaConfig, field: FieldSpec) -> int | None:
     """Smallest gamma in [2, q-1] giving distinct nodes and a fully MDS matrix.
 
-    Returns None when no gamma works in this field (including the pigeonhole
-    case UV - 1 > q, where distinct nodes cannot exist).
+    Returns None when no gamma works in this field, including the
+    pigeonhole case UV - 1 >= q: the nodes are distinct exactly when
+    gamma^1..gamma^(UV-1) are, and F_q^* has only q - 1 elements.
+
+    gamma and its inverse get the same verdict, so each inverse pair is
+    certified once.  The nodes x_i = gamma (gamma^i - 1) / (gamma - 1) of
+    1/gamma are x'_i = gamma^-m (x_(m-1) - x_(m-1-i)) with m = UV - 1, an
+    affine image of gamma's nodes in reverse order.  An affine map of the
+    nodes multiplies every row of H, the parity row included, by one
+    invertible matrix on the right, and the reversal permutes the
+    Vandermonde rows; neither changes which nodes collide or whether every
+    n x n submatrix is nonsingular.  So a gamma whose inverse lies in
+    [2, gamma) is skipped: that inverse was certified first and failed.
+    The skip rests on the MDS verdict alone.  A predicate that also checks
+    the audit's conditions may reuse the inverse's MDS verdict but must run
+    its own walk, which the inverse's nodes need not pass.
     """
     n = optimal_source_rate(cfg)
     m = cfg.n_users - 1
-    if m > field.q:
+    q = field.q
+    if m >= q:
         return None
-    for gamma in range(2, field.q):
+    for gamma in range(2, q):
+        if pow(gamma, -1, q) < gamma:
+            continue
         xs = build_elements(gamma, m, field)
         if len(set(xs)) != len(xs):
             continue

@@ -65,7 +65,12 @@ import itertools
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 
-from .errors import AuditBudgetExceeded, CorrectnessViolation
+from .errors import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_RANK_BUDGET,
+    AuditBudgetExceeded,
+    CorrectnessViolation,
+)
 from .fields import FqMatrix, _pivot_row, _reduce, _span
 from .protocol import RoundTranscript
 from .rates import HsaConfig
@@ -86,8 +91,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
 ]
 
-DEFAULT_RANK_BUDGET = 10**6
-DEFAULT_ENUMERATION_CAP = 10**7
 # The walk nests one generator per colluder.  Sets of up to d colluders number
 # at least 2^d, so a deeper walk could never finish under any budget; it is
 # refused instead of running into the interpreter's recursion limit.
@@ -243,18 +246,35 @@ def _checks(cfg: HsaConfig):
             yield tset, None
 
 
-def _planned_checks(cfg: HsaConfig, limit: int) -> int:
-    """Number of checks ``_checks(cfg)`` yields, U + 1 per collusion set; once
-    the running count passes ``limit`` it is returned as it stands, so an
-    over-budget plan is refused without summing every binomial."""
-    m = cfg.n_users
-    total, sets = 0, 1  # sets = C(UV, t)
-    for t in _set_sizes(cfg):
-        total += (cfg.U + 1) * sets
+def _sets(users: int, depth: int, limit: int) -> int:
+    """Number of sets of at most ``depth`` of ``users`` users, the sum of
+    C(users, t) for t <= depth; once the running sum passes ``limit`` it is
+    returned as it stands, so an over-budget plan is refused without
+    summing every binomial."""
+    total, sets = 0, 1  # sets = C(users, t)
+    for t in range(depth + 1):
+        total += sets
         if total > limit:
             break
-        sets = sets * (m - t) // (t + 1)
+        sets = sets * (users - t) // (t + 1)
     return total
+
+
+def _planned_checks(cfg: HsaConfig, limit: int) -> int:
+    """Number of checks ``_checks(cfg)`` yields, U + 1 per collusion set,
+    returned as it stands once it passes ``limit``."""
+    return (cfg.U + 1) * _sets(cfg.n_users, _set_sizes(cfg)[-1], limit // (cfg.U + 1))
+
+
+def _planned_nodes(cfg: HsaConfig, limit: int) -> int:
+    """Number of sets the walks of ``_violations`` visit, returned as it
+    stands once it passes ``limit``: the server's over all UV users, then
+    each relay's over the UV - V users outside its cluster."""
+    depth, outside = _set_sizes(cfg)[-1], cfg.n_users - cfg.V
+    server = _sets(cfg.n_users, depth, limit)
+    if server > limit:
+        return server
+    return server + cfg.U * _sets(outside, min(depth, outside), (limit - server) // cfg.U)
 
 
 def _stepped(table: list, j: int, q: int) -> list:
@@ -384,14 +404,18 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
 
     Reports every violation ``_violations`` yields in a canonical order:
     relay violations by relay id, then server ones, each group by member
-    tuple.  The walk needs rows that sum to zero, so a scheme without that
-    raises CorrectnessViolation, and one whose checks exceed ``budget``
-    raises AuditBudgetExceeded, before anything is enumerated.
+    tuple, and counts the (U + 1) checks of every collusion set as
+    ``checks_performed``.  The walk needs rows that sum to zero, so a
+    scheme without that raises CorrectnessViolation, and one whose walks
+    would visit more than ``budget`` sets raises AuditBudgetExceeded,
+    before anything is enumerated.
     """
     _require_zero_row_sum(scheme.H)
-    checks = _planned_checks(scheme.cfg, budget)
-    if checks > budget:
-        raise AuditBudgetExceeded(f"audit needs more than the budget of {budget} rank checks")
+    cfg = scheme.cfg
+    if _planned_nodes(cfg, budget) > budget:
+        raise AuditBudgetExceeded(f"audit needs more than the budget of {budget} walk nodes")
+    # the server walks every collusion set, so there are at most budget of them
+    checks = _planned_checks(cfg, (cfg.U + 1) * budget)
     violations = sorted(
         _violations(scheme), key=lambda v: (v.kind, v.relay or 0, v.collusion.members)
     )

@@ -352,6 +352,20 @@ def test_audit_budget_exit_6(golden_f17_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_audit_budget_counts_walk_nodes(tmp_path, capsys):
+    # (4,3,4) at (23, 2) makes 3,970 checks, but its walks visit 794 server
+    # sets and 256 sets per relay: 1,818 nodes
+    path = tmp_path / "s.json"
+    path.write_text(scheme_to_json(build_scheme(HsaConfig(4, 3, 4))))
+    assert run_cli("audit", "--scheme", str(path), "--budget", "1818") == 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks_performed"] == 3970 and len(report["violations"]) == 10
+    assert run_cli("audit", "--scheme", str(path), "--budget", "1817") == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: audit needs more than the budget of 1817 walk nodes\n"
+
+
 def test_audit_walk_past_the_depth_limit_exit_6(tmp_path, capsys):
     scheme = build_baseline(HsaConfig(2, 129, 257), force_infeasible=True)
     path = tmp_path / "deep.json"
@@ -460,7 +474,7 @@ def test_audit_hostile_collusion_budget_fails_fast(tmp_path):
 @pytest.mark.parametrize(
     "budget, error",
     [
-        (None, "audit needs more than the budget of 1000000 rank checks"),
+        (None, "audit needs more than the budget of 1000000 walk nodes"),
         # a budget past 2^10000 checks: sets of 10,000 colluders are refused anyway
         (10**4000, "audit needs collusion sets of 10000 users, more than 256"),
     ],

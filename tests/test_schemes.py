@@ -14,8 +14,8 @@ from hsagg.errors import (
     InfeasibleConfiguration,
     SchemeFormatError,
 )
-from hsagg.fields import FieldSpec, extended_vandermonde, extended_vandermonde_subdet
-from hsagg.rates import HsaConfig
+from hsagg.fields import FieldSpec, extended_vandermonde, extended_vandermonde_subdet, next_prime
+from hsagg.rates import HsaConfig, optimal_source_rate
 from hsagg.schemes import (
     _all_minors_nonzero,
     _parity_submatrices_nonsingular,
@@ -70,8 +70,10 @@ def test_search_gamma_small_field():
 
 
 def test_search_gamma_pigeonhole():
-    # 5 distinct nodes cannot exist in F_3
+    # 5 distinct nodes need 5 distinct powers of gamma, and F_3^* and F_5^*
+    # have only 2 and 4 elements
     assert search_gamma(HsaConfig(2, 3, 1), FieldSpec.for_prime(3)) is None
+    assert search_gamma(HsaConfig(2, 3, 1), FieldSpec.for_prime(5)) is None
 
 
 def _closed_form_sweep(field, xs, n):
@@ -232,6 +234,59 @@ def test_search_pins_acceptance_sweep():
 def test_search_pins_larger_configurations(cfg, q_hint, pinned):
     scheme = build_scheme(HsaConfig(*cfg), q_hint)
     assert (scheme.field.q, scheme.params.gamma) == pinned
+
+
+def _certifies(cfg, field, gamma):
+    xs = build_elements(gamma, cfg.n_users - 1, field)
+    return len(set(xs)) == len(xs) and _parity_submatrices_nonsingular(
+        field, xs, optimal_source_rate(cfg)
+    )
+
+
+def _search_grid():
+    """(cfg, q) pairs: each sweep configuration at its first three primes from
+    UV + 1, and each ladder configuration at every prime its build visits."""
+    grid = []
+    for shape in SEARCH_PINS:
+        cfg = HsaConfig(*shape)
+        q = cfg.n_users
+        for _ in range(3):
+            q = next_prime(q + 1)
+            grid.append((cfg, q))
+    # (configuration, starting prime, the prime its build picks)
+    ladder = [
+        ((4, 4, 6), 17, 31), ((6, 3, 5), 101, 103), ((3, 6, 5), 19, 103), ((4, 5, 3), 23, 191),
+    ]
+    for shape, q, last in ladder:
+        while q <= last:
+            grid.append((HsaConfig(*shape), q))
+            q = next_prime(q + 1)
+    return grid
+
+
+def test_search_skips_only_what_a_full_scan_rejects():
+    # the reference certifies every gamma from 2 up, with no inverse-pair skip
+    # and no pigeonhole shortcut
+    found = 0
+    for cfg, q in _search_grid():
+        field = FieldSpec.for_prime(q)
+        reference = next((g for g in range(2, q) if _certifies(cfg, field, g)), None)
+        assert search_gamma(cfg, field) == reference, (cfg, q)
+        found += reference is not None
+    assert found > 200
+
+
+def test_gamma_and_its_inverse_get_the_same_verdict():
+    verdicts = []
+    for cfg, q in _search_grid():
+        field = FieldSpec.for_prime(q)
+        for gamma in range(2, q):
+            inverse = pow(gamma, -1, q)
+            if gamma < inverse:
+                verdict = _certifies(cfg, field, gamma)
+                assert _certifies(cfg, field, inverse) == verdict, (cfg, q, gamma)
+                verdicts.append(verdict)
+    assert verdicts.count(True) > 500 and verdicts.count(False) > 500
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from hsagg.security import (
     _checks,
     _Tables,
     _planned_checks,
+    _planned_nodes,
     _violations,
     audit,
     exact_independence_check,
@@ -403,6 +404,8 @@ def test_walk_visits_each_observers_sets_once(monkeypatch):
     relay_sets = sum(math.comb(9, t) for t in range(5))
     assert (server_sets, relay_sets) == (794, 256)
     assert len(anys) == (server_sets - 1) + 4 * (relay_sets - 1)
+    # the audit's budget counts these sets, roots included
+    assert _planned_nodes(scheme.cfg, 10**6) == server_sets + 4 * relay_sets
     # the sets of 1 to 3 users without the last one; each raises each rank
     # but the 3 server sets of one whole cluster among them
     inner = sum(math.comb(11, t) for t in range(1, 4)), sum(math.comb(8, t) for t in range(1, 4))

@@ -38,3 +38,32 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     ).stdout.split()
     assert "hsagg.cli" in out
     assert [m for m in ("dataclasses", "inspect", "typing") if m in out] == []
+
+
+def _loaded_by(argv, cwd):
+    """The modules loaded once ``main(argv)`` has returned 0, under -S."""
+    probe = (
+        "import sys; from hsagg.cli import main; code = main(sys.argv[1:]); "
+        "print(code, *sorted(sys.modules), file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    stderr = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    ).stderr
+    code, *modules = stderr.split()
+    assert code == "0", stderr
+    return set(modules)
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    # the package resolves its names lazily and the CLI imports the audit and
+    # the protocol inside the commands that call them
+    built = _loaded_by(["build", "--U", "4", "--V", "4", "--T", "6", "--out", "s.json"], tmp_path)
+    assert "hsagg.schemes" in built
+    assert {"hsagg.security", "hsagg.protocol", "random"} & built == set()
+    for argv in (["rates", "--U", "4", "--V", "4", "--T", "6"],
+                 ["compare", "--U", "4", "--V", "4", "--T", "6"]):
+        assert {"hsagg.security", "hsagg.protocol"} & _loaded_by(argv, tmp_path) == set()
+    simulated = _loaded_by(["simulate", "--scheme", "s.json"], tmp_path)
+    assert "hsagg.protocol" in simulated and "hsagg.security" not in simulated
