@@ -13,15 +13,18 @@ Two layers of checking:
   full enumeration or refuses with a budget error.  The audit does not
   eliminate each matrix: ``_violations`` makes one depth-first walk over
   the collusion sets per observer, the server's and then each relay's,
-  each carrying per node the rank of one echelon basis and every walked
-  user's row reduced modulo it; adding a colluder is one elimination step
-  of those residuals.  Own-cluster colluders never raise a relay's rank,
-  so relay u walks only the users outside cluster u and reports each
-  deficient set with every own-cluster extension within T.  Every
-  reduction goes through ``fields._reduce``, the package's one row
-  reduction, which ``FqMatrix.rank`` also uses; this module defines none
-  of its own.  The condition-matrix builders below stay as the per-check
-  oracle the tests compare the walks with.
+  each carrying per node the rank of one echelon basis and the later
+  users' rows reduced modulo it, on its free columns only; adding a
+  colluder is one elimination step of those residuals, and the two
+  deepest levels are decided from the residuals normalized once, with no
+  step.  Own-cluster colluders never raise a relay's rank, so relay u
+  walks only the users outside cluster u and reports each deficient set
+  with every own-cluster extension within T.  Every reduction goes
+  through ``fields._reduce``, the package's one row reduction, which
+  ``FqMatrix.rank`` also uses, and every normalization through
+  ``fields._pivot_row``; this module defines neither.  The
+  condition-matrix builders below stay as the per-check oracle the tests
+  compare the walks with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information.  For desk-scale fields they are
@@ -72,7 +75,6 @@ from .errors import (
     CorrectnessViolation,
 )
 from .fields import FqMatrix, _pivot_row, _reduce, _span
-from .protocol import RoundTranscript
 from .rates import HsaConfig
 from .schemes import CoefficientScheme, _require_zero_row_sum
 
@@ -278,10 +280,19 @@ def _planned_nodes(cfg: HsaConfig, limit: int) -> int:
 
 
 def _stepped(table: list, j: int, q: int) -> list:
-    """``table`` after one elimination step by its nonzero entry j, which
-    leaves its entries after j reduced modulo one more row."""
+    """The rows of ``table`` after its nonzero row j, each reduced modulo
+    row j and without the step's pivot column, which is zero in each now."""
     step = (_pivot_row(table[j], q),)
-    return table[:j + 1] + [_reduce(step, r, q) for r in table[j + 1:]]
+    p = step[0][0]
+    rows = []
+    for r in table[j + 1:]:
+        row = _reduce(step, r, q)
+        if row is r:  # unchanged: the parent's row, which stays as it is
+            row = r[:p] + r[p + 1:]
+        else:
+            del row[p]
+        rows.append(row)
+    return rows
 
 
 def _walk(
@@ -293,17 +304,20 @@ def _walk(
     The sets are walked as a prefix tree, users ascending, against one
     echelon basis of ``rank`` rows; ``table`` holds every user's row reduced
     modulo it, and ``members`` are indices into ``table``.  No basis is
-    kept: each node carries its rank and a residual table (only the users
-    after its last member are read).  Adding user j raises the rank exactly
-    when j's residual is nonzero, and the child's table is one elimination
-    step of the parent's by that residual; a zero residual leaves the
-    parent's table to the child.  A set's required rank is ``floor`` plus
-    its size.  With ``cluster`` set, the users fall in clusters of that many
-    in order, and each cluster the set covers whole takes one off ``floor``,
-    down to 0.  The sets at the maximum depth, and those that end with the
-    last user and so have no children, are decided in their parent's loop,
-    each by one ``any`` of its residual.  A node is visited only as the
-    caller reads.
+    kept: each node carries its rank and the residuals of the users after
+    its last member.  A residual is zero at every pivot, so a table keeps
+    only the free columns: each step drops its pivot's, rows get shorter as
+    the walk goes deeper, and a row of no columns is zero.  Adding user j
+    raises the rank exactly when j's residual is nonzero, and the child's
+    table is one elimination step (``_stepped``) of the rows after j by that
+    residual; a zero residual leaves them as they are.  A set's required
+    rank is ``floor`` plus its size.  With ``cluster`` set, the users fall
+    in clusters of that many in order, and each cluster the set covers whole
+    takes one off ``floor``, down to 0.  A set that ends with the last user,
+    and so has no children, and a set of one user when ``depth`` is 1, is
+    decided in its parent's loop by one ``any`` of its residual.  A node two
+    below ``depth`` decides the two levels under it with no elimination
+    step (``finish``).  A node is visited only as the caller reads.
     """
     n = len(table)
     members: list[int] = []
@@ -313,27 +327,82 @@ def _walk(
         size = len(members)
         if rank < need:
             yield tuple(members), rank, need
+        if size + 2 == depth:  # the root, when depth is 2
+            yield from finish(rank, table, full, need)
+            return
         if size == depth:
             return
-        leaf = size + 1 == depth
-        for j in range(members[-1] + 1 if members else 0, n):
+        leaf, finishing = size + 1 == depth, size + 3 == depth
+        first = members[-1] + 1 if members else 0
+        for i, row in enumerate(table):
+            j = first + i
             child_full = full
             if cluster:
                 c = j // cluster
                 covered[c] += 1
                 child_full += covered[c] == cluster
             child_need = max(floor - child_full, 0) + size + 1
-            grow = any(table[j])
+            grow = any(row)
             if leaf or j + 1 == n:
                 if rank + grow < child_need:
                     yield (*members, j), rank + grow, child_need
             else:
                 members.append(j)
-                child_table = _stepped(table, j, q) if grow else table
-                yield from visit(rank + grow, child_table, child_full, child_need)
+                child_table = _stepped(table, i, q) if grow else table[i + 1:]
+                if not finishing:
+                    yield from visit(rank + grow, child_table, child_full, child_need)
+                else:  # the child and the two levels below it
+                    if rank + grow < child_need:
+                        yield tuple(members), rank + grow, child_need
+                    yield from finish(rank + grow, child_table, child_full, child_need)
                 members.pop()
             if cluster:
                 covered[c] -= 1
+
+    def finish(rank: int, table: list, full: int, need: int) -> list:
+        """The deficient sets among the children and grandchildren of a node
+        two below ``depth``, in walk order, from its rows each normalized
+        once by ``_pivot_row``.  Child j raises the rank iff row j is
+        nonzero, and its child k iff row k is nonzero and not parallel to
+        row j, that is, iff their normalized rows differ.  So if the node is
+        not deficient and its rows are nonzero and pairwise distinct, no set
+        below it is; otherwise, under a child that is not deficient, only
+        the leaves whose row is zero or parallel to the child's can be.  A
+        lone row has no leaf under it and nothing to be compared with, so
+        it is only tested for zero, by one ``any``."""
+        if len(table) == 1:  # one child, the set that ends with the last user
+            norms = [tuple(table[0]) if any(table[0]) else None]
+        else:
+            pairs = map(_pivot_row, table, itertools.repeat(q))
+            norms = [pair and tuple(pair[1]) for pair in pairs]
+        if rank >= need and None not in norms and len(set(norms)) == len(norms):
+            return []
+        size, first = len(members), members[-1] + 1 if members else 0
+        found = []
+        for i, row in enumerate(norms):
+            j = first + i
+            child_full = full
+            if cluster:
+                c = j // cluster
+                covered[c] += 1
+                child_full += covered[c] == cluster
+            child_need = max(floor - child_full, 0) + size + 1
+            child_rank = rank + (row is not None)
+            if child_rank < child_need:
+                found.append(((*members, j), child_rank, child_need))
+                leaves = range(i + 1, len(norms))
+            else:  # a leaf's row raises the rank unless it is zero or parallel
+                leaves = [x for x in range(i + 1, len(norms)) if norms[x] in (None, row)]
+            for x in leaves:
+                k = first + x
+                leaf_full = child_full + bool(cluster and covered[k // cluster] + 1 == cluster)
+                leaf_need = max(floor - leaf_full, 0) + size + 2
+                leaf_rank = child_rank + (norms[x] is not None and norms[x] != row)
+                if leaf_rank < leaf_need:
+                    found.append(((*members, j, k), leaf_rank, leaf_need))
+            if cluster:
+                covered[c] -= 1
+        return found
 
     return visit(rank, table, 0, floor)
 
@@ -356,7 +425,9 @@ def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
     deficient D yields one violation for every C = D + S with S a subset of
     cluster u and |C| <= T, all with D's ranks.  The server goes first, so
     a walk that reaches the largest sets gets there before a relay lists
-    the own-cluster supersets of a small one.  The depth refusal, the rows
+    the own-cluster supersets of a small one.  Each walk starts from its
+    users' rows reduced modulo its basis, without the basis's pivot
+    columns, where every residual is zero.  The depth refusal, the rows
     and every walk's starting table are set up on the call, but a set is
     visited only as the caller reads, so a pass/fail caller stops at the
     first item: ``next(_violations(scheme), None) is None``.
@@ -372,7 +443,10 @@ def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
 
     def start(spanned: list, walked: list) -> tuple[list, int]:
         basis = _span(spanned, q)
-        return [_reduce(basis, row, q) for row in walked], len(basis)
+        pivots = {p for p, _ in basis}
+        free = [i for i in range(scheme.H.cols) if i not in pivots]  # the residuals' columns
+        residuals = (_reduce(basis, row, q) for row in walked)
+        return [[r[i] for i in free] for r in residuals], len(basis)
 
     sums = [_cluster_sum_row(scheme, u) for u in range(1, U)]
     server = _walk(*start(sums, rows), U - 1, depth, q, V)
@@ -681,10 +755,9 @@ def exact_sweep(
     return verdicts
 
 
-def infeasibility_attack(
-    scheme: CoefficientScheme, transcript: RoundTranscript
-) -> tuple[int, ...]:
-    """Relay 1 plus all inter-cluster colluders recover cluster 1's input sum.
+def infeasibility_attack(scheme: CoefficientScheme, transcript) -> tuple[int, ...]:
+    """Relay 1 plus all inter-cluster colluders recover cluster 1's input sum
+    from ``transcript``, a ``protocol.RoundTranscript`` of ``scheme``.
 
     The colluders' inputs and masks reproduce every other relay's message;
     adding relay 1's own message yields the total input sum, and

@@ -1,5 +1,6 @@
 """Rank audits, the exact independence oracle, and the boundary attack."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -362,7 +363,8 @@ def test_walk_matches_condition_matrices_from_deficient_starting_spans(golden_3x
 def test_first_violation_is_read_before_any_extension(golden_2x3_f3, monkeypatch):
     # cluster 1 sums to zero, so the empty set already leaks to the server,
     # whose walk goes first, and, its rows being dependent, to relay 1: each
-    # walk yields before it adds a colluder; past that item it does add them
+    # walk yields before it reduces or normalizes a row; past that item,
+    # where T = 2 makes the root decide both levels below it, it normalizes
     base = golden_2x3_f3
     q = base.field.q
     first, second = base.coefficient_row(1, 1), base.coefficient_row(1, 2)
@@ -373,8 +375,9 @@ def test_first_violation_is_read_before_any_extension(golden_2x3_f3, monkeypatch
     basis = _span(rows[:3], q)  # relay 1's walk over the users outside cluster 1
     relay = security._walk([_reduce(basis, row, q) for row in rows[3:]], len(basis), 3, 2, q)
     calls = []
-    reduce = security._reduce
+    reduce, pivot = security._reduce, security._pivot_row
     monkeypatch.setattr(security, "_reduce", lambda *a: calls.append(a) or reduce(*a))
+    monkeypatch.setattr(security, "_pivot_row", lambda *a: calls.append(a) or pivot(*a))
     assert next(walk) == RankViolation(None, CollusionSet(()), 0, 1)
     assert next(relay) == ((), 2, 3)
     assert calls == []
@@ -387,30 +390,155 @@ def test_first_violation_is_read_before_any_extension(golden_2x3_f3, monkeypatch
 
 def test_walk_visits_each_observers_sets_once(monkeypatch):
     # one single-basis walk per observer: the server's over all 12 users and
-    # each relay's over the 9 outside its cluster, one ``any`` per set past
-    # the root and one elimination step per set below the maximum size that
-    # raises the rank and has users left to add
+    # each relay's over the 9 outside its cluster; one ``any`` and, where the
+    # rank rises and users are left to add, one elimination step per set of
+    # 1 to T - 2 users, and one normalization per set of T - 1 users, which
+    # decides the sets of T users with no further step; a set of T - 1 users
+    # whose parent has no other child, the set of T - 2 users that ends with
+    # the last but one user, takes one ``any`` instead
     from test_output_pins import VANDERMONDE_434
 
     scheme = import_scheme(VANDERMONDE_434)  # (4,3,4) at (23, 2): 10 server leaks
-    stepped, anys = Counter(), []
-    step = security._stepped
+    walks, stepped, pivots, anys = [], Counter(), Counter(), Counter()
+    walk, step, pivot = security._walk, security._stepped, security._pivot_row
+
+    def labelled(table, *args):  # counts go to the walk of len(table) users
+        inner = walk(table, *args)
+
+        def run():
+            walks.append(len(table))
+            yield from inner
+
+        return run()
+
+    monkeypatch.setattr(security, "_walk", labelled)
     monkeypatch.setattr(
-        security, "_stepped", lambda t, j, q: stepped.update([len(t)]) or step(t, j, q)
+        security, "_stepped", lambda t, j, q: stepped.update(walks[-1:]) or step(t, j, q)
     )
-    monkeypatch.setattr(security, "any", lambda r: anys.append(r) or any(r), raising=False)
+    monkeypatch.setattr(
+        security, "_pivot_row", lambda r, q: pivots.update(walks[-1:]) or pivot(r, q)
+    )
+    monkeypatch.setattr(
+        security, "any", lambda r: anys.update(walks[-1:]) or any(r), raising=False
+    )
     violations = list(_violations(scheme))
+    assert walks == [12, 9, 9, 9, 9]
     server_sets = sum(math.comb(12, t) for t in range(5))
     relay_sets = sum(math.comb(9, t) for t in range(5))
     assert (server_sets, relay_sets) == (794, 256)
-    assert len(anys) == (server_sets - 1) + 4 * (relay_sets - 1)
     # the audit's budget counts these sets, roots included
     assert _planned_nodes(scheme.cfg, 10**6) == server_sets + 4 * relay_sets
-    # the sets of 1 to 3 users without the last one; each raises each rank
-    # but the 3 server sets of one whole cluster among them
-    inner = sum(math.comb(11, t) for t in range(1, 4)), sum(math.comb(8, t) for t in range(1, 4))
-    assert stepped == {12: inner[0] - 3, 9: 4 * inner[1]}
+    # the sets of 1 or 2 users, and those without the last user, which each
+    # raise each rank; a step normalizes its row, and the rest of the
+    # normalizations are one per set of 3 users but the 10 and 7 that end
+    # with the last two users
+    assert anys == {12: 12 + 66 + 10, 9: 4 * (9 + 36 + 7)}
+    inner = sum(math.comb(11, t) for t in (1, 2)), sum(math.comb(8, t) for t in (1, 2))
+    assert stepped == {12: inner[0], 9: 4 * inner[1]}
+    assert pivots - stepped == {12: math.comb(12, 3) - 10, 9: 4 * (math.comb(9, 3) - 7)}
     assert len(violations) == 10 and all(v.relay is None for v in violations)
+
+
+def _zero_sum_scheme(cfg: HsaConfig, q: int, rows: list) -> CoefficientScheme:
+    """``rows`` with the last replaced by minus the sum of the others, as an
+    external scheme whose users own the rows in label order."""
+    rows = [*rows[:-1], [-sum(col) % q for col in zip(*rows[:-1])]]
+    return CoefficientScheme(
+        SchemeParams(cfg, None),
+        FqMatrix.from_rows(FieldSpec.for_prime(q), rows),
+        dict(zip(cfg.users(), range(cfg.n_users))),
+        "external",
+    )
+
+
+def _parallel_pair_scheme(seed: int) -> CoefficientScheme:
+    """A (4,3,3) scheme over F_101 with h(4,1) = h(2,1) + h(3,1) + S_1, S_1
+    being cluster 1's sum, and random rows otherwise, in 11 columns."""
+    rng = random.Random(seed)
+    cfg, q = HsaConfig(4, 3, 3), 101
+    rows = [[rng.randrange(q) for _ in range(11)] for _ in range(12)]
+    s1 = [sum(col) % q for col in zip(*rows[:3])]
+    rows[9] = [(x + y + z) % q for x, y, z in zip(rows[3], rows[6], s1)]
+    return _zero_sum_scheme(cfg, q, rows)
+
+
+def _walk_digest_schemes() -> list:
+    """Seeded random zero-sum schemes, each with a zero row, a row that is a
+    multiple of another, a row that the rest of its cluster spans, or none of
+    these, in turn; V = 1 in a third of them, T >= UV in about a third,
+    and last the parallel-pair scheme."""
+    rng = random.Random(20261020)
+    shapes = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
+    schemes = []
+    for i in range(288):
+        U, V = shapes[i % len(shapes)]
+        q = rng.choice([2, 3, 5, 7, 101, 101, 101])
+        users = U * V
+        n = rng.randint(max(users // 2, 1), users - 1)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(users)]
+        # the last row is the zero-sum fix, so change only rows before it,
+        # and only in clusters before the last
+        user = rng.randrange(users - 1)
+        kind = i // len(shapes) % 4
+        if kind == 0:
+            rows[user] = [0] * n
+        elif kind == 1:
+            other = rng.randrange(users - 1)
+            rows[user] = [rng.randrange(1, q) * x % q for x in rows[other]]
+        elif kind == 2 and V > 1:
+            u = rng.randrange(U - 1) * V
+            mix = [rng.randrange(q) for _ in range(V - 1)]
+            rows[u] = [sum(a * r[k] for a, r in zip(mix, rows[u + 1:u + V])) % q for k in range(n)]
+        cfg = HsaConfig(U, V, max(rng.choice([1, 2, n - V, n - U + 1, users, users + 1]), 0))
+        schemes.append(_zero_sum_scheme(cfg, q, rows))
+    return [*schemes, _parallel_pair_scheme(7)]
+
+
+# sha256 of the repr of list(_violations(s)) over _walk_digest_schemes(), in
+# order, as recorded with the walk that stepped every set below T and decided
+# each set of T users by one ``any`` of its residual
+WALK_DIGEST = "d46300c0e0884aabe4132438a0064e36a6667b13009712e876ff62d197cb04ee"
+
+
+def test_walk_output_is_pinned_on_random_schemes():
+    schemes = _walk_digest_schemes()
+    digest = hashlib.sha256()
+    counts = Counter()
+    for scheme in schemes:
+        violations = list(_violations(scheme))
+        digest.update(repr(violations).encode())
+        counts["leaky"] += bool(violations)
+        cfg, q, rows = scheme.cfg, scheme.field.q, scheme.H.row_list()
+        counts["V = 1"] += cfg.V == 1
+        counts["T >= UV"] += cfg.T >= cfg.n_users
+        nonzero = [row for row in rows if any(row)]
+        counts["zero row"] += len(nonzero) < len(rows)
+        counts["parallel rows"] += any(
+            elim_rank(pair, q) == 1 for pair in itertools.combinations(nonzero, 2)
+        )
+        clusters = [rows[u:u + cfg.V] for u in range(0, cfg.n_users, cfg.V)]
+        counts["dependent cluster"] += cfg.V > 1 and any(
+            elim_rank(cluster, q) < cfg.V for cluster in clusters
+        )
+    assert counts == {
+        "leaky": 259, "V = 1": 96, "T >= UV": 112, "zero row": 100,
+        "parallel rows": 98, "dependent cluster": 111,
+    }
+    assert digest.hexdigest() == WALK_DIGEST
+
+
+def test_parallel_pair_under_a_healthy_node():
+    # the only deficient sets are {(2,1), (3,1), (4,1)}, for the server and
+    # relay 1; in both walks the node {(2,1)} and its children are healthy,
+    # and the residuals of (3,1) and (4,1) there are parallel
+    scheme = _parallel_pair_scheme(7)
+    leak = CollusionSet.of([(2, 1), (3, 1), (4, 1)])
+    assert list(_violations(scheme)) == [
+        RankViolation(None, leak, 5, 6), RankViolation(1, leak, 5, 6)
+    ]
+    assert audit(_with_collusion_budget(scheme, 2)).passed
+    assert server_condition_matrix(scheme, leak).rank() == 5
+    assert relay_condition_matrix(scheme, 1, leak).rank() == 5
 
 
 def test_relay_violations_stay_under_own_cluster_colluders():

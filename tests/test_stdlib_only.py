@@ -58,7 +58,8 @@ def _loaded_by(argv, cwd):
 
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # the package resolves its names lazily and the CLI imports the audit and
-    # the protocol inside the commands that call them
+    # the protocol inside the commands that call them; the audit needs no
+    # protocol
     built = _loaded_by(["build", "--U", "4", "--V", "4", "--T", "6", "--out", "s.json"], tmp_path)
     assert "hsagg.schemes" in built
     assert {"hsagg.security", "hsagg.protocol", "random"} & built == set()
@@ -67,3 +68,8 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
         assert {"hsagg.security", "hsagg.protocol"} & _loaded_by(argv, tmp_path) == set()
     simulated = _loaded_by(["simulate", "--scheme", "s.json"], tmp_path)
     assert "hsagg.protocol" in simulated and "hsagg.security" not in simulated
+    # (3,2,3) passes its audit, which runs no protocol
+    _loaded_by(["build", "--U", "3", "--V", "2", "--T", "3", "--out", "a.json"], tmp_path)
+    audited = _loaded_by(["audit", "--scheme", "a.json"], tmp_path)
+    assert "hsagg.security" in audited
+    assert {"hsagg.protocol", "random"} & audited == set()
