@@ -181,7 +181,8 @@ def _parity_submatrices_nonsingular(field: FieldSpec, xs: tuple[int, ...], n: in
     zero leaf, which a failing node set shows after about q leaves; a set
     that survives 8 q leaves, or half the tree if that is fewer, is decided
     by ``_all_minors_nonzero``, which evaluates every leaf level by level.
-    With n = 2 the tree is the root and one block of leaves.
+    With n = 2 the tree is the root and one level of leaves, which
+    ``_all_minors_nonzero`` evaluates at once, with no refutation first.
     """
     q, m = field.q, len(xs)
     sums, powers = [], [1] * m
@@ -190,10 +191,7 @@ def _parity_submatrices_nonsingular(field: FieldSpec, xs: tuple[int, ...], n: in
         powers = [p * x % q for p, x in zip(powers, xs)]
     if n == 1:
         return sums[0] != 0
-    if n == 2:
-        p0, p1 = sums
-        return 0 not in [(p1 - x * p0) % q for x in xs]
-    zero = _refute(q, xs, sums, min(8 * q, comb(m, n - 1) // 2))
+    zero = _refute(q, xs, sums, min(8 * q, comb(m, n - 1) // 2)) if n > 2 else None
     return not zero if zero is not None else _all_minors_nonzero(q, xs, sums)
 
 
@@ -234,7 +232,7 @@ def _refute(q: int, xs: tuple[int, ...], sums: list[int], budget: int) -> bool |
 
 
 def _all_minors_nonzero(q: int, xs: tuple[int, ...], sums: list[int]) -> bool:
-    """Whether every leaf of the moment tree is nonzero (n >= 3), level by level.
+    """Whether every leaf of the moment tree is nonzero (n >= 2), level by level.
 
     The tree is split by its first pick i, and each subtree is evaluated
     one level at a time.  A level stores its moments as columns, with its

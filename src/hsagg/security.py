@@ -27,35 +27,29 @@ Two layers of checking:
   compare the walks with.
 
 * Exact independence oracle.  The definitional security statements are
-  zero conditional mutual information.  For desk-scale fields they are
-  decided by counting every (input, source-key) tuple and checking the
-  count-product identity N(a,b,c) * N(c) == N(a,c) * N(b,c) in exact
-  integers, which is equivalent to zero conditional MI and involves no
-  floating point.  The q^n tuples that share an input w form a block.  An
-  observer's message depends on w only through its group sums (each
-  member's w for a relay, each cluster's sum for the server), and c only
-  through the colluders' inputs (and the total, for the server), so all
-  inputs with the same such key have blocks with the same row of (a, c)
-  over the masks.  The a rows are tabulated as base-q integer codes once
-  per sweep, each the sum of one precomputed row per digit, and the c rows
-  once per collusion set for the relays and once for the server, one row
-  per key, their codes built one digit row at a time.  A check codes each
-  (a, c) pair as the one integer a * width + c, width being q to the
-  number of digits of c: every c code is below width, so two pairs share
-  a code only if they are equal.  It counts each distinct (a, c) row
-  once, weighted by its number of inputs m; a block of one input, which is
-  every server block when V = 1, goes to N(a,c) through
-  ``Counter.update`` with no weighting.  That gives the
-  counts of all q^(UV + n) tuples exactly: the m blocks hold that row's
-  (a, c) pairs m times, each time with another input b.  The identity is
-  tested on the joint table's nonzero cells only, once per distinct block,
-  which decides it for the whole support product: fix (a, c) with
-  N(a,c) > 0 and sum the identity over the b of its nonzero cells; that
-  gives sum N(b,c) = N(c) over those b, so every b with N(b,c) > 0 has a
-  nonzero cell.  Every observation is linear in (w, z), so a check that
-  fails anywhere fails at the cell of the all-zero tuple; a failing check
-  reports that cell, the first of the support product in first-seen order,
-  written from its shape, with its four counts read at its cell code.
+  zero conditional mutual information I(A; B | C), A what the observer
+  receives, B the input vector w and C the value the check conditions on.
+  For desk-scale fields they are decided by enumerating every (input,
+  source-key) tuple, in exact integers with no floating point.  C has a
+  w-part, taken from the inputs (the total input sum, for the server, then
+  the colluders' inputs), and a z-part, the colluders' masks.  Two inputs
+  are in one class when their w-parts agree.  The source keys do not
+  depend on w, so for an input b in the class of c, N(b,c) = M(z), the
+  number of source vectors whose z-part is c's; it does not depend on b,
+  and N(c) is the class's size times M(z).  The count-product identity
+  N(a,b,c) * N(c) == N(a,c) * N(b,c), which is zero conditional MI, then
+  says on every cell that each input's count of (a, z) over the q^n source
+  vectors is the mean of its class's counts, that is, that every input of
+  a class has the same counts; linearity is not used.  An observer's
+  message depends on w only through its group sums (each member's w for a
+  relay, each cluster's sum for the server), so the inputs with the same
+  such key and class form a block with the same counts, and a check counts
+  each distinct block once and compares it with the first block of its
+  class.  Every observation is linear in (w, z), so a check that fails
+  anywhere fails at the cell of the all-zero tuple, the first cell of the
+  support product in first-seen order; a failing check reports that cell,
+  written from its shape, with its four counts recounted from input 0's
+  class.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -534,15 +528,13 @@ class _Tables:
 
     Tuple (i, j) of the enumeration is (``inputs[i]``, ``masks[j]``): every
     input vector w outer and every mask vector z = H N inner, each in
-    ``itertools.product`` order, and its b code is i.  The tuples that share
-    an input form a block.  What an observer receives depends on w only
-    through w's sums over its groups, so ``seen[relay]`` (relay u, or the
-    server as ``None``) is a pair ``(keys, rows)``: ``keys[i]`` is those sums
-    for input i, and ``rows[keys[i]][j]`` the base-q code of what the
-    observer receives from tuple (i, j), built as the sum of one row per
-    digit.  ``conditioning`` returns the same pair for the value c a check
-    conditions on, and ``side`` adds the counts that the relay checks of a
-    collusion set share.
+    ``itertools.product`` order, and its b code is i.  What an observer
+    receives depends on w only through w's sums over its groups, so
+    ``seen[relay]`` (relay u, or the server as ``None``) is a pair
+    ``(keys, rows)``: ``keys[i]`` is those sums for input i, and
+    ``rows[keys[i]][j]`` the base-q code of what the observer receives from
+    tuple (i, j), built as the sum of one row per digit.  ``conditioning``
+    gives the codes of the value c a check conditions on.
     """
 
     def __init__(self, scheme: CoefficientScheme) -> None:
@@ -576,100 +568,75 @@ class _Tables:
 
         Digit i of a code is group i's sum times q**(k - 1 - i), k groups in
         all.  Its row over the masks is tabulated once for each value a of
-        the group's input sum, so a key's row is the elementwise sum of the
-        k digit rows its sums name."""
+        the group's input sum, so a key's row, built once per distinct key
+        in first-seen order, is the elementwise sum of the k digit rows its
+        sums name."""
         q, k = self.q, len(groups)
         digits = []
         for i, g in enumerate(groups):
             zp = [sum(z[x] for x in g) % q for z in self.masks]
             weight = q ** (k - 1 - i)
             digits.append([[(a + y) % q * weight for y in zp] for a in range(q)])
-        return _keyed(
-            [tuple(sum(w[x] for x in g) % q for g in groups) for w in self.inputs],
-            lambda key: list(map(sum, zip(*(d[a] for d, a in zip(digits, key))))),
-        )
+        keys = [tuple(sum(w[x] for x in g) % q for g in groups) for w in self.inputs]
+        rows = {
+            key: list(map(sum, zip(*(d[a] for d, a in zip(digits, key)))))
+            for key in dict.fromkeys(keys)
+        }
+        return keys, rows
 
-    def conditioning(self, tset: CollusionSet, server: bool) -> tuple[list, dict]:
-        """Keys and rows of the code of the value c the check conditions on:
-        digits for the total input sum (server only), the colluders' inputs
-        and then their masks, each code built from one row per digit."""
+    def conditioning(self, tset: CollusionSet, server: bool) -> tuple[list, list]:
+        """The codes of the value c the check conditions on, as two lists:
+        each input's class code, of the total input sum (server only) and
+        the colluders' inputs, and each mask's z code, of the colluders'
+        masks, each code built from one row per base-q digit."""
         q, idx = self.q, [self.index[t] for t in tset]
         w_digits = ([self.totals] if server else []) + [self.w_rows[i] for i in idx]
-        c_w = _codes(w_digits, q, len(self.inputs))
-        c_z = _codes([self.z_rows[i] for i in idx], q, len(self.masks))
-        shift = q ** len(idx)
-        return _keyed(c_w, lambda cw: [cw * shift + cz for cz in c_z])
-
-    def side(self, tset: CollusionSet, server: bool) -> "_Side":
-        """The conditioning side of the checks of ``tset``: the server's, or
-        that of every relay, which do not differ."""
-        keys, rows = self.conditioning(tset, server)
-        n_bc = {key: Counter(row) for key, row in rows.items()}
-        n_c = Counter()
-        for key, m in Counter(keys).items():
-            for c, n in n_bc[key].items():
-                n_c[c] += m * n
-        return _Side(keys, rows, n_bc, n_c, self.q ** (2 * len(tset) + server))
+        classes = _codes(w_digits, q, len(self.inputs))
+        return classes, _codes([self.z_rows[i] for i in idx], q, len(self.masks))
 
 
-class _Side(namedtuple("_Side", "keys rows n_bc n_c width")):
-    """What the checks of one collusion set share besides the a rows, for the
-    relays or for the server: ``keys`` and ``rows`` as ``conditioning``
-    gives them, ``n_bc[key]`` the count of each c in that key's row (N(b,c)
-    of any input b with the key), ``n_c`` the count of each c over all
-    tuples, each key's row counted once and weighted by its number of
-    inputs, and ``width``, q to the number of digits of a c code.  Every c
-    code is below ``width``, so ``divmod(code, width)`` gives the pair
-    (a, c) back from its cell code ``a * width + c``: one integer stands for
-    one pair, and ``code % width`` is its c."""
+def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> IndependenceVerdict:
+    """Decide one check by comparing the blocks of each conditioning class.
 
-    __slots__ = ()
-
-
-def _keyed(keys: list, row) -> tuple[list, dict]:
-    """``keys`` and, per distinct key in first-seen order, ``row(key)``."""
-    return keys, {key: row(key) for key in dict.fromkeys(keys)}
-
-
-def _decide(
-    tables: _Tables, tset: CollusionSet, relay: int | None, side: _Side
-) -> IndependenceVerdict:
-    """Count the check's contingency table block by block and test the
-    count-product identity on its nonzero cells.
-
-    Each (a, c) pair is one integer, its cell code ``a * width + c`` (see
-    ``_Side``).  The m inputs with one block key share their a and c rows,
-    so N(a,b,c) for each of them as b is the count of a cell code in the
-    block's row, and the m inputs add m times that count to N(a,c).  A
-    block of one input adds its codes to N(a,c) as they stand, counted in
-    ``Counter.update``; a larger one adds each distinct cell once, weighted.
-    N(b,c) and N(c) come from ``side``, which the relay checks of a
-    collusion set share.  These are the counts of every tuple, with one
-    counting per block key.
+    Each (a, z) pair is one integer, its cell code ``a * width + z``, width
+    being q^|C|, which every z code is below.  The inputs with one block
+    key (their a key and class) have the same cells over the masks, so each
+    distinct block is counted once, by ``Counter``, and compared with the
+    first block of its class; the check passes iff none differs (see the
+    module docstring).  ``tuples_enumerated`` is q^(UV + n), the enumeration
+    the verdict decides, also when a failing check stops at its first
+    differing block.
     """
     a_keys, a_rows = tables.seen[relay]
-    c_keys, c_rows, n_bc, n_c, width = side
-    n_ac = Counter()
-    blocks = {}  # per block key (ka, kc), the cell counts of any input in the block
-    for (ka, kc), m in Counter(zip(a_keys, c_keys)).items():
-        codes = [a * width + c for a, c in zip(a_rows[ka], c_rows[kc])]
-        cells = blocks[ka, kc] = Counter(codes)
-        if m == 1:
-            n_ac.update(codes)
-        else:
-            for code, n in cells.items():
-                n_ac[code] += m * n
+    classes, z = tables.conditioning(tset, relay is None)
+    width = tables.q ** len(tset)
+
+    def cells(ka) -> Counter:
+        return Counter([a * width + y for a, y in zip(a_rows[ka], z)])
+
     total = len(tables.inputs) * len(tables.masks)
-    if _identity_holds(blocks, n_ac, n_bc, n_c, width):
+    first = {}  # per class, the cells of its first block
+    for ka, kc in dict.fromkeys(zip(a_keys, classes)):
+        counts = cells(ka)
+        # dict's own comparison: Counter's == is a loop in Python
+        if dict.__ne__(first.setdefault(kc, counts), counts):
+            break
+    else:
         return IndependenceVerdict(True, relay, tset, total)
 
-    # Some cell fails.  Every observation is linear in (w, z), so the cell of
-    # tuple (0, 0), where w = 0 and z = 0, fails too; it is the witness, and
-    # its field values are zeros in the shape of c, a and b.
-    ka, kc = a_keys[0], c_keys[0]
-    c = c_rows[kc][0]
-    code = a_rows[ka][0] * width + c
-    counts = (blocks[ka, kc][code], n_c[c], n_ac[code], n_bc[kc][c])
+    # Some class differs.  Every observation is linear in (w, z), so the cell
+    # of tuple (0, 0), where w = 0 and z = 0, fails too; it is the witness,
+    # and its field values are zeros in the shape of c, a and b.
+    kc, cz = classes[0], z[0]
+    code = a_rows[a_keys[0]][0] * width + cz
+    members = Counter(ka for ka, k in zip(a_keys, classes) if k == kc)  # per a key
+    n_bc = z.count(cz)  # the same for every input of the class
+    counts = (
+        cells(a_keys[0])[code],
+        sum(members.values()) * n_bc,
+        sum(m * cells(ka)[code] for ka, m in members.items()),
+        n_bc,
+    )
     if counts[0] * counts[1] == counts[2] * counts[3]:
         raise AssertionError("a failing linear check must fail at the all-zero cell")
     cell = (
@@ -678,17 +645,6 @@ def _decide(
         tables.inputs[0],
     )
     return IndependenceVerdict(False, relay, tset, total, witness=cell + counts)
-
-
-def _identity_holds(blocks: dict, n_ac: Counter, n_bc: dict, n_c: Counter, width: int) -> bool:
-    """Whether N(a,b,c) * N(c) == N(a,c) * N(b,c) on every block's cells."""
-    for (_, kc), cells in blocks.items():
-        bc = n_bc[kc]
-        for code, n in cells.items():
-            c = code % width
-            if n * n_c[c] != n_ac[code] * bc[c]:
-                return False
-    return True
 
 
 def exact_independence_check(
@@ -706,14 +662,14 @@ def exact_independence_check(
     masks?
 
     Builds the integer-coded tables that ``exact_sweep`` builds once for
-    all of its checks, and decides the check as the sweep does: the counts
-    of all q^(UV + n) (W, N) tuples are taken block by block, each block of
-    inputs that the check cannot tell apart counted once and weighted by
-    its size, and the count-product identity is tested once per block on
-    its nonzero cells, which decides it for every cell of the support
-    product (see the module docstring).  A failing check reports the cell
-    of the all-zero tuple, where every linear check that fails also fails,
-    as its witness, written from its shape.  Exact integers only.
+    all of its checks, and decides the check as the sweep does: it holds
+    iff every input of a conditioning class has the same counts of (a, z)
+    over the source vectors, which each distinct block of inputs shows once
+    (see the module docstring).  ``tuples_enumerated`` is the q^(UV + n)
+    (W, N) tuples that decides, also when a failing check stops at its
+    first differing block.  A failing check reports the cell of the
+    all-zero tuple, where every linear check that fails also fails, as its
+    witness, written from its shape.  Exact integers only.
     """
     _check_labels(scheme, tset, relay)
     total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
@@ -721,8 +677,7 @@ def exact_independence_check(
         raise AuditBudgetExceeded(
             f"exact check needs {total} tuples, cap is {cap}; refusing to sample"
         )
-    tables = _Tables(scheme)
-    return _decide(tables, tset, relay, tables.side(tset, relay is None))
+    return _decide(_Tables(scheme), tset, relay)
 
 
 def exact_sweep(
@@ -733,12 +688,9 @@ def exact_sweep(
     ``cap`` bounds the whole sweep: when the planned checks times the
     q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised before
     anything is enumerated.  The tables are built once and shared by every
-    check, and the conditioning side (c rows, N(b,c) and N(c)) once per
-    collusion set for the U relay checks, which condition on the same c,
-    and once for the server check.  Each check takes the counts of all
-    q^(UV + n) tuples, which it reports as ``tuples_enumerated``, by
-    counting each distinct block of inputs once and weighting it by its
-    size.
+    check, and each check is decided by ``_decide``, which reports the
+    q^(UV + n) tuples it decides as ``tuples_enumerated``, also when it
+    stops at its first differing block.
     """
     cfg = scheme.cfg
     tuples = scheme.field.q ** (cfg.n_users + scheme.n_source)
@@ -747,12 +699,7 @@ def exact_sweep(
             f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
         )
     tables = _Tables(scheme)
-    verdicts = []
-    for tset, relay in _checks(cfg):
-        if relay in (1, None):  # a set's first relay check, or its server check
-            side = tables.side(tset, relay is None)
-        verdicts.append(_decide(tables, tset, relay, side))
-    return verdicts
+    return [_decide(tables, tset, relay) for tset, relay in _checks(cfg)]
 
 
 def infeasibility_attack(scheme: CoefficientScheme, transcript) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ LEAKY = {
 }
 # (3, 1, 1) over F_5 whose rows are all multiples of (1, 0): 10 of its 16 exact
 # checks fail, relay ones with a colluder and server ones with and without,
-# and with V = 1 every block of a server check holds one input
+# and with V = 1 every input is a block of its own in a server check
 LEAKY_311 = {
     "U": 3, "V": 1, "T": 1, "q": 5,
     "H": {"q": 5, "rows": 3, "cols": 2, "data": [1, 0, 1, 0, 3, 0]},

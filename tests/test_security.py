@@ -596,8 +596,9 @@ def test_audit_refuses_a_walk_past_the_depth_limit():
 
 def test_walk_reaches_the_depth_limit():
     # 256 nested generators, one per colluder, stay inside the recursion limit
+    # (the server's 256-member set is the walk's first violation)
     scheme = build_baseline(HsaConfig(2, 128, 256), force_infeasible=True)
-    assert any(len(v.collusion) == 256 for v in _violations(scheme))
+    assert len(next(_violations(scheme)).collusion) == 256
 
 
 def test_audited_matrix_ranks_match_minor_oracle(golden_2x3_f3):
@@ -724,17 +725,26 @@ def _reference_exact_check(scheme, tset, relay=None) -> IndependenceVerdict:
     return IndependenceVerdict(True, relay, tset, total)
 
 
-def _block_sizes(scheme, tset, relay=None) -> list[int]:
-    """Per input, in order, how many inputs share its block: the inputs whose
-    (a, c) pairs over all source draws, in order, equal its own."""
-    rows = [
+def _block_rows(scheme, tset, relay=None) -> list[tuple]:
+    """Per input, in order, its block: the (a, c) pairs of all its source
+    draws, in order."""
+    return [
         tuple((a, c) for a, _, c in group)
         for _, group in itertools.groupby(
             _observations(scheme, tset, relay), key=lambda obs: obs[1]
         )
     ]
-    sizes = Counter(rows)
-    return [sizes[row] for row in rows]
+
+
+def _most_blocks_in_a_class(rows: list[tuple]) -> int:
+    """The most distinct blocks among ``_block_rows``' inputs of one
+    conditioning class: two inputs are in one class when their draws reach
+    the same conditioning values c, and inputs of two classes reach none in
+    common."""
+    classes = {}
+    for row in rows:
+        classes.setdefault(frozenset(c for _, c in row), set()).add(row)
+    return max(map(len, classes.values()))
 
 
 def _random_oracle_scheme(rng: random.Random, limit: int) -> CoefficientScheme:
@@ -753,11 +763,12 @@ def _random_oracle_scheme(rng: random.Random, limit: int) -> CoefficientScheme:
 
 
 def test_exact_sweep_matches_reference_oracle():
-    # the integer-coded sweep against the oracle it replaced, witness included
+    # the class-comparing sweep against the oracle it replaced, witness included
     rng = random.Random(20261018)
     failing = set()
     shared, shared_witnesses = set(), 0  # modes with a block of 2+ inputs; witnesses in one
     single = set()  # verdicts of server checks whose blocks all hold one input
+    compared = set()  # (mode, passed) of checks with a class of 2+ distinct blocks
     for _ in range(60):
         scheme = _random_oracle_scheme(rng, 2 * 10**4)
         expected = [
@@ -769,22 +780,27 @@ def test_exact_sweep_matches_reference_oracle():
             (v["mode"], bool(v["collusion"])) for v in expected if not v["passed"]
         )
         for (tset, relay), v in zip(_checks(scheme.cfg), expected):
-            sizes = _block_sizes(scheme, tset, relay)
-            if max(sizes) >= 2:
+            rows = _block_rows(scheme, tset, relay)
+            sizes = Counter(rows)
+            if max(sizes.values()) >= 2:
                 shared.add(v["mode"])
             # the witness is the all-zero tuple's cell, in input 0's block
-            shared_witnesses += not v["passed"] and sizes[0] >= 2
-            if v["mode"] == "server" and max(sizes) == 1:
+            shared_witnesses += not v["passed"] and sizes[rows[0]] >= 2
+            if v["mode"] == "server" and max(sizes.values()) == 1:
                 single.add(v["passed"])
+            if _most_blocks_in_a_class(rows) >= 2:
+                compared.add((v["mode"], v["passed"]))
     # every shape of witness was compared: with and without colluders, both modes
     assert failing == {(mode, t) for mode in ("relay", "server") for t in (False, True)}
-    # the sweep counts a block once, weighted by its inputs; the reference
-    # counts every tuple, so blocks of several inputs were compared too
+    # the sweep counts a block once for all its inputs; the reference counts
+    # every tuple, so blocks of several inputs were compared too
     assert shared == {"relay", "server"}
     assert shared_witnesses
-    # and checks made of one-input blocks only, which go to N(a,c) uncounted
-    # by weight, passing and failing
+    # and checks made of one-input blocks only, passing and failing
     assert single == {True, False}
+    # in both modes, passing and failing checks compared 2+ distinct blocks of
+    # one class, so no verdict rests on classes of one block alone
+    assert compared == {(mode, p) for mode in ("relay", "server") for p in (True, False)}
 
 
 def test_exact_witness_counts_recount():
@@ -820,12 +836,13 @@ def test_exact_codes_decode_to_observations():
         scheme = _random_oracle_scheme(rng, 10**4)
         tables = _Tables(scheme)
         for tset, relay in _checks(scheme.cfg):
-            (c_keys, c_rows), (a_keys, a_rows) = (
+            (classes, z), (a_keys, a_rows) = (
                 tables.conditioning(tset, relay is None), tables.seen[relay]
             )
-            # tuple (i, j) is (inputs[i], masks[j]), and its b code is i
+            # tuple (i, j) is (inputs[i], masks[j]), its c code the pair of
+            # input i's class code and mask j's z code, and its b code is i
             codes = (
-                (c_rows[c_keys[i]][j], a_rows[a_keys[i]][j], i)
+                ((classes[i], z[j]), a_rows[a_keys[i]][j], i)
                 for i in range(len(tables.inputs))
                 for j in range(len(tables.masks))
             )
@@ -836,13 +853,15 @@ def test_exact_codes_decode_to_observations():
                     seen.add(pair)
             for seen in pairs:
                 assert len(seen) == len({k for k, _ in seen}) == len({v for _, v in seen})
+            # every z code is below q^|C|, so a * q^|C| + z is one cell per (a, z)
+            assert max(z) < tables.q ** len(tset)
 
 
 def test_exact_sweep_equals_single_checks(golden_2x3_f3):
     # the tables shared by a sweep and those built for one check agree
     built = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
-    # V = 1, as in the benchmark's file: every relay of a collusion set
-    # conditions on the same c, and the sweep computes that side once for them
+    # V = 1, as in the benchmark's file: every input is a block of its own in
+    # a server check
     single = build_scheme(HsaConfig(3, 1, 1), q_hint=5)
     for scheme in (built, golden_2x3_f3, single):
         for subject, clean in ((scheme, True), (_zeroed_row(scheme, (1, 1)), False)):
