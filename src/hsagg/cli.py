@@ -16,16 +16,20 @@ flushed: tearing the interpreter down writes nothing and costs several
 milliseconds, a large share of a short command.  A flush that fails falls
 back to a normal exit, so a closed pipe is reported as Python reports it.
 ``main()`` returns its exit code and leaves teardown to its caller.
+
+Each subcommand is described once, in ``_COMMANDS``.  ``main()`` parses a
+well-formed command line from it without argparse, which costs a short
+command several milliseconds, and builds the argparse parser from it only
+for help and the command lines it declines, so help and errors stay argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 # The commands that run the audit or the protocol import them, so that
 # build, rates and compare load neither.
@@ -65,18 +69,24 @@ def _dump(obj, pretty: bool) -> str:
     return json.dumps(obj, sort_keys=True, indent=2 if pretty else None) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
 def _report(args, obj, text: str, out: str | None = None) -> None:
     """Write ``obj`` as JSON under --json, else ``text``, to ``out`` or stdout."""
     text = _dump(obj, args.pretty) if args.json else text
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
 
 def _load_scheme(path: str) -> schemes.CoefficientScheme:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
     # ValueError covers bad JSON, bytes that do not decode and integers past
     # the int-string limit; RecursionError, nesting past the recursion limit.
     except (OSError, ValueError, RecursionError) as exc:
@@ -124,9 +134,7 @@ def cmd_build(args) -> int:
         scheme = schemes.build_baseline(cfg, args.q, args.force_infeasible)
     else:
         scheme = schemes.build_scheme(cfg, q_hint=args.q)
-    Path(args.out).write_text(
-        schemes.scheme_to_json(scheme, pretty=args.pretty), encoding="utf-8"
-    )
+    _write(args.out, schemes.scheme_to_json(scheme, pretty=args.pretty))
     gamma = scheme.params.gamma
     _report(
         args,
@@ -151,9 +159,9 @@ def cmd_simulate(args) -> int:
     transcript = protocol.run_round(scheme, inputs, keys)
     observed = protocol.measure_rates(transcript)
     if args.transcript:
-        Path(args.transcript).write_text(
+        _write(
+            args.transcript,
             _dump(protocol.transcript_to_json_obj(transcript, args.scheme), args.pretty),
-            encoding="utf-8",
         )
     _report(
         args,
@@ -243,68 +251,124 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _shape(required: bool) -> list:
+    return [("--" + key, {"type": int, "required": required}) for key in "UVT"]
+
+
+_JSON = ("--json", {"action": "store_true"})
+_PRETTY = ("--pretty", {"action": "store_true"})
+
+# Each subcommand once: its summary, the namespace defaults that name its
+# function, and its options in help order, each a flag with the keywords of
+# argparse's add_argument.  _build_parser hands them to argparse; _fast_args
+# reads action (only ever store_true), nargs, type, default and required.
+_COMMANDS = {
+    "rates": ("evaluate the optimal rate region", {"func": cmd_rates}, [
+        *_shape(False),
+        ("--sweep", {"nargs": "+", "metavar": "K=lo..hi",
+                     "help": "grid sweep, e.g. --sweep U=2..4 V=1..3 T=0..6"}),
+        ("--out", {"help": "write to file instead of stdout"}),
+        _JSON, _PRETTY,
+    ]),
+    "build": ("build and persist a scheme", {"func": cmd_build}, [
+        *_shape(True),
+        ("--q", {"type": int, "help": "starting prime for the field search"}),
+        ("--baseline", {"action": "store_true", "help": "naive per-user keying comparator"}),
+        ("--force-infeasible", {"action": "store_true",
+                                "help": "materialize an out-of-region scheme for attack demos"}),
+        ("--out", {"required": True}),
+        _JSON, _PRETTY,
+    ]),
+    "simulate": ("run one aggregation round", {"func": cmd_simulate}, [
+        ("--scheme", {"required": True}),
+        ("--L", {"type": int, "default": 1, "help": "symbols per input"}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        ("--transcript", {"help": "write the round transcript to this file"}),
+        _JSON, _PRETTY,
+    ]),
+    # the audit report is always JSON, so audit has no --json
+    "audit": ("exhaustive security audit of a scheme file", {"func": cmd_audit, "json": True}, [
+        ("--scheme", {"required": True}),
+        ("--exact", {"action": "store_true",
+                     "help": "additionally run the brute-force independence oracle"}),
+        ("--q-cap", {"type": int, "default": DEFAULT_ENUMERATION_CAP,
+                     "help": "cap on the exact oracle's whole sweep: checks x q^(UV+n) tuples"}),
+        ("--budget", {"type": int, "default": DEFAULT_RANK_BUDGET, "help":
+                      "cap on the audit's walk: collusion sets visited over all observers"}),
+        _PRETTY,
+    ]),
+    "attack": ("run the oversized-collusion recovery attack", {"func": cmd_attack}, [
+        ("--scheme", {"required": True}),
+        ("--rounds", {"type": int, "default": 100}),
+        ("--L", {"type": int, "default": 1}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        _JSON, _PRETTY,
+    ]),
+    "compare": ("optimal vs baseline source key rate", {"func": cmd_compare}, [
+        *_shape(True), _JSON, _PRETTY,
+    ]),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, or None to leave ``argv`` to argparse.
+
+    Parsed here: a command, then options spelled in full as ``--flag`` or
+    ``--flag value``, each value not starting with "-" and converting with
+    the option's type, every required option given.  Anything else, help
+    and errors included, is argparse's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, defaults, options = _COMMANDS[argv[0]]
+    args = {"command": argv[0], **defaults}
+    for flag, keywords in options:
+        args[_dest(flag)] = keywords.get("default", False if "action" in keywords else None)
+    flags = dict(options)
+    missing = {flag for flag, keywords in options if keywords.get("required")}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = flags.get(flag)
+        if keywords is None or "nargs" in keywords:
+            return None
+        missing.discard(flag)
+        if "action" in keywords:
+            args[_dest(flag)] = True
+            continue
+        value = next(tokens, "-")  # a missing value is argparse's error
+        if value.startswith("-"):
+            return None
+        try:
+            args[_dest(flag)] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    return None if missing else SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser for ``_COMMANDS``: help, and argv the fast path declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hsa",
         description="Hierarchical secure aggregation: build, simulate and audit schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, summary: str, shape: bool | None = None):
-        """A subcommand running ``func``; with ``shape`` set it starts with the
-        --U --V --T triple, required when ``shape`` is True."""
+    for name, (summary, defaults, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        if shape is not None:
-            for key in "UVT":
-                p.add_argument("--" + key, type=int, required=shape)
-        return p
-
-    p = command("rates", cmd_rates, "evaluate the optimal rate region", shape=False)
-    p.add_argument("--sweep", nargs="+", metavar="K=lo..hi",
-                   help="grid sweep, e.g. --sweep U=2..4 V=1..3 T=0..6")
-    p.add_argument("--out", help="write to file instead of stdout")
-
-    p = command("build", cmd_build, "build and persist a scheme", shape=True)
-    p.add_argument("--q", type=int, help="starting prime for the field search")
-    p.add_argument("--baseline", action="store_true", help="naive per-user keying comparator")
-    p.add_argument("--force-infeasible", action="store_true",
-                   help="materialize an out-of-region scheme for attack demos")
-    p.add_argument("--out", required=True)
-
-    p = command("simulate", cmd_simulate, "run one aggregation round")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--L", type=int, default=1, help="symbols per input")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--transcript", help="write the round transcript to this file")
-
-    p = command("audit", cmd_audit, "exhaustive security audit of a scheme file")
-    p.set_defaults(json=True)  # the audit report is always JSON
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="additionally run the brute-force independence oracle")
-    p.add_argument("--q-cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="cap on the exact oracle's whole sweep: checks x q^(UV+n) tuples")
-    p.add_argument("--budget", type=int, default=DEFAULT_RANK_BUDGET,
-                   help="cap on the audit's walk: collusion sets visited over all observers")
-
-    p = command("attack", cmd_attack, "run the oversized-collusion recovery attack")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--L", type=int, default=1)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    command("compare", cmd_compare, "optimal vs baseline source key rate", shape=True)
-
-    for p in sub.choices.values():
-        if p.get_default("json") is None:
-            p.add_argument("--json", action="store_true")
-        p.add_argument("--pretty", action="store_true")
+        p.set_defaults(**defaults)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(_FAILURES) as exc:

@@ -1,8 +1,12 @@
 """CLI behavior: output formats, file round-trips, exit-code contract."""
 
 import argparse
+import ast
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -752,6 +756,129 @@ def test_subcommand_options_are_pinned():
             for a in subparser._actions if a.dest != "help"
         )
         assert options == OPTIONS[name], name
+
+
+# ---------------------------------------------------------------------------
+# the fast path: well-formed argv parsed without argparse
+# ---------------------------------------------------------------------------
+
+
+# the commands bench/run.py times, and the well-formed ones of the CI workflow
+BENCH_ARGV = [
+    ["build", "--U", "4", "--V", "4", "--T", "6", "--out", "scheme.json", "--json"],
+    ["build", "--U", "6", "--V", "3", "--T", "5", "--q", "101", "--out", "scheme.json", "--json"],
+    ["audit", "--scheme", "inputs/certified.json"],
+    ["audit", "--scheme", "inputs/external.json", "--exact"],
+    ["simulate", "--scheme", "inputs/scheme.json", "--L", "5000", "--seed", "1",
+     "--transcript", "transcript.json", "--json"],
+]
+CI_ARGV = [
+    ["rates", "--U", "2", "--V", "3", "--T", "1"],
+    ["build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", "s.json"],
+    ["build", "--U", "4", "--V", "4", "--T", "6", "--out", "b.json", "--json"],
+    ["build", "--U", "6", "--V", "3", "--T", "5", "--q", "101", "--out", "b.json", "--json"],
+    ["build", "--U", "5", "--V", "4", "--T", "8", "--q", "100003", "--out", "big.json"],
+    ["audit", "--scheme", "big.json"],
+    ["audit", "--scheme", "s.json"],
+    ["audit", "--scheme", "s.json", "--exact"],
+    ["audit", "--scheme", "leaky.json", "--exact"],
+]
+
+
+def _argv_in_this_file():
+    """Every argv written out in this file, each item that is computed (a path,
+    a parametrized value) read as "s.json"."""
+    for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_cli":
+            items = node.args
+        elif isinstance(node, ast.List):
+            items = node.elts
+        else:
+            continue
+        words = [
+            item.value if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            else "s.json"
+            for item in items if not isinstance(item, ast.Starred)
+        ]
+        starts = [i for i, word in enumerate(words) if word in cli._COMMANDS]
+        if starts:
+            yield words[starts[0]:]
+
+
+def _readme_argv():
+    readme = ROOT / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("hsa ")]
+
+
+def _mutations(argv):
+    """argv, then argv spelled in each way the fast path leaves to argparse."""
+    yield argv
+    yield [*argv, "--bogus"]
+    yield [*argv, "-h"]
+    for i, token in enumerate(argv):
+        if not token.startswith("--"):
+            continue
+        before, after = argv[:i], argv[i + 1:]
+        yield [*before, token[:-1], *after]  # abbreviated, or "--" for --U
+        yield [*argv, token]  # repeated
+        if after and not after[0].startswith("-"):
+            yield [*before, f"{token}={after[0]}", *after[1:]]
+            yield [*before, token, *after[1:]]  # its value missing
+            yield [*before, *after[1:]]  # the option missing
+            yield [*argv, token, after[0]]  # repeated with its value
+            for value in ("-1", "-", ""):
+                yield [*before, token, value, *after[1:]]
+
+
+def test_fast_path_parses_as_argparse_does():
+    parametrized = [
+        [command, "--scheme", "s.json", *extra]
+        for command in ("simulate", "audit", "attack")
+        for extra in ([], ["--L", "0"], ["--L", "-3"], ["--rounds", "0"])
+    ] + [
+        ["build", "--U", "2", "--V", "2", "--T", "1", "--q", q, *extra, "--out", "s.json"]
+        for q in ("-7", "0", "1") for extra in ([], ["--baseline"])
+    ] + [
+        ["audit", "--scheme", "s.json", "--exact", flag, value]
+        for flag in ("--budget", "--q-cap") for value in ("-1", "0")
+    ]
+    corpus = [*_argv_in_this_file(), *_readme_argv(), *BENCH_ARGV, *CI_ARGV, *parametrized,
+              [], ["bogus"], ["-h"], ["--help"], ["--bogus"], ["audit", "--sch", "s.json"]]
+    assert len(corpus) > 100
+    parser = cli._build_parser()
+    parsed = declined = 0
+    for argv in sorted({tuple(m) for argv in corpus for m in _mutations(argv)}):
+        fast = cli._fast_args(list(argv))
+        if fast is None:
+            declined += 1
+            continue
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                expected = parser.parse_args(list(argv))
+        except SystemExit:
+            pytest.fail(f"the fast path parsed {argv}, which argparse rejects")
+        assert vars(fast) == vars(expected), argv
+        parsed += 1
+    assert parsed > 100 and declined > 1000
+    for argv in BENCH_ARGV + CI_ARGV:
+        assert cli._fast_args(argv) is not None, argv
+
+
+def test_declined_argv_goes_to_argparse(golden_f17_file, capsys):
+    assert run_cli("audit", "--scheme", golden_f17_file) == 0
+    report = capsys.readouterr().out
+    for argv in (["audit", "--sch", golden_f17_file], ["audit", f"--scheme={golden_f17_file}"]):
+        assert cli._fast_args(argv) is None
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == report
+    with pytest.raises(SystemExit) as exc:
+        run_cli("audit")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hsa audit")
+    assert err.endswith("error: the following arguments are required: --scheme\n")
 
 
 # ---------------------------------------------------------------------------

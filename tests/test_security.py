@@ -4,8 +4,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -596,9 +600,20 @@ def test_audit_refuses_a_walk_past_the_depth_limit():
 
 def test_walk_reaches_the_depth_limit():
     # 256 nested generators, one per colluder, stay inside the recursion limit
-    # (the server's 256-member set is the walk's first violation)
-    scheme = build_baseline(HsaConfig(2, 128, 256), force_infeasible=True)
-    assert len(next(_violations(scheme)).collusion) == 256
+    # (the server's 256-member set is the walk's first violation).  A walk that
+    # missed that set would go on through about 2^256 others, so the walk runs
+    # in a child process that the timeout ends.
+    probe = (
+        "from hsagg.rates import HsaConfig; from hsagg.schemes import build_baseline; "
+        "from hsagg.security import _violations; "
+        "scheme = build_baseline(HsaConfig(2, 128, 256), force_infeasible=True); "
+        "print(len(next(_violations(scheme)).collusion))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(security.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "256\n"), proc.stderr
 
 
 def test_audited_matrix_ranks_match_minor_oracle(golden_2x3_f3):

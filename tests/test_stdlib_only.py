@@ -59,13 +59,17 @@ def _loaded_by(argv, cwd):
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # the package resolves its names lazily and the CLI imports the audit and
     # the protocol inside the commands that call them; the audit needs no
-    # protocol
+    # protocol.  A well-formed command line is parsed without argparse, and
+    # no command reads or writes its files through pathlib.
+    unused = {"argparse", "gettext", "locale", "pathlib"}
     built = _loaded_by(["build", "--U", "4", "--V", "4", "--T", "6", "--out", "s.json"], tmp_path)
     assert "hsagg.schemes" in built
     assert {"hsagg.security", "hsagg.protocol", "random"} & built == set()
     for argv in (["rates", "--U", "4", "--V", "4", "--T", "6"],
                  ["compare", "--U", "4", "--V", "4", "--T", "6"]):
-        assert {"hsagg.security", "hsagg.protocol"} & _loaded_by(argv, tmp_path) == set()
+        loaded = _loaded_by(argv, tmp_path)
+        assert {"hsagg.security", "hsagg.protocol"} & loaded == set()
+        assert unused & loaded == set()
     simulated = _loaded_by(["simulate", "--scheme", "s.json"], tmp_path)
     assert "hsagg.protocol" in simulated and "hsagg.security" not in simulated
     # (3,2,3) passes its audit, which runs no protocol
@@ -73,3 +77,24 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     audited = _loaded_by(["audit", "--scheme", "a.json"], tmp_path)
     assert "hsagg.security" in audited
     assert {"hsagg.protocol", "random"} & audited == set()
+    # (2,2,1) over F_5 passes the exact oracle under the default cap
+    _loaded_by(["build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", "e.json"],
+               tmp_path)
+    exact = _loaded_by(["audit", "--scheme", "e.json", "--exact"], tmp_path)
+    for loaded in (built, simulated, audited, exact):
+        assert unused & loaded == set()
+
+
+def test_help_is_argparse_help(monkeypatch):
+    # help is left to argparse, which the process then imports
+    from hsagg import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "hsagg.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == cli._build_parser().format_help()
+    assert proc.stdout.startswith("usage: hsa [-h] {rates,build,simulate,audit,attack,compare}")
