@@ -2,7 +2,8 @@
 
 Builds zero-row-sum coefficient schemes with the MDS property, simulates
 the two-hop masking protocol, and certifies (or refutes) security with
-exhaustive rank audits and exact brute-force independence checks.
+exhaustive rank audits and exact independence checks, each decided from
+four ranks by the rank-entropy identity.
 
 The names in ``__all__`` are imported from their modules on first access
 (PEP 562), as are the submodules themselves, so ``import hsagg`` loads

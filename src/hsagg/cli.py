@@ -77,7 +77,7 @@ def _write(path: str, text: str) -> None:
 def _report(args, obj, text: str, out: str | None = None) -> None:
     """Write ``obj`` as JSON under --json, else ``text``, to ``out`` or stdout."""
     text = _dump(obj, args.pretty) if args.json else text
-    if out:
+    if out is not None:
         _write(out, text)
     else:
         sys.stdout.write(text)
@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
     inputs, keys = protocol.sample_round(scheme, args.L, args.seed)
     transcript = protocol.run_round(scheme, inputs, keys)
     observed = protocol.measure_rates(transcript)
-    if args.transcript:
+    if args.transcript is not None:
         _write(
             args.transcript,
             _dump(protocol.transcript_to_json_obj(transcript, args.scheme), args.pretty),
@@ -290,7 +290,7 @@ _COMMANDS = {
     "audit": ("exhaustive security audit of a scheme file", {"func": cmd_audit, "json": True}, [
         ("--scheme", {"required": True}),
         ("--exact", {"action": "store_true",
-                     "help": "additionally run the brute-force independence oracle"}),
+                     "help": "additionally decide each check's zero conditional MI exactly"}),
         ("--q-cap", {"type": int, "default": DEFAULT_ENUMERATION_CAP,
                      "help": "cap on the exact oracle's whole sweep: checks x q^(UV+n) tuples"}),
         ("--budget", {"type": int, "default": DEFAULT_RANK_BUDGET, "help":

@@ -28,28 +28,24 @@ Two layers of checking:
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information I(A; B | C), A what the observer
-  receives, B the input vector w and C the value the check conditions on.
-  For desk-scale fields they are decided by enumerating every (input,
-  source-key) tuple, in exact integers with no floating point.  C has a
-  w-part, taken from the inputs (the total input sum, for the server, then
-  the colluders' inputs), and a z-part, the colluders' masks.  Two inputs
-  are in one class when their w-parts agree.  The source keys do not
-  depend on w, so for an input b in the class of c, N(b,c) = M(z), the
-  number of source vectors whose z-part is c's; it does not depend on b,
-  and N(c) is the class's size times M(z).  The count-product identity
-  N(a,b,c) * N(c) == N(a,c) * N(b,c), which is zero conditional MI, then
-  says on every cell that each input's count of (a, z) over the q^n source
-  vectors is the mean of its class's counts, that is, that every input of
-  a class has the same counts; linearity is not used.  An observer's
-  message depends on w only through its group sums (each member's w for a
-  relay, each cluster's sum for the server), so the inputs with the same
-  such key and class form a block with the same counts, and a check counts
-  each distinct block once and compares it with the first block of its
-  class.  Every observation is linear in (w, z), so a check that fails
-  anywhere fails at the cell of the all-zero tuple, the first cell of the
-  support product in first-seen order; a failing check reports that cell,
-  written from its shape, with its four counts recounted from input 0's
-  class.
+  receives, B the input vector w and C the value the check conditions on:
+  the total input sum (server only), then the colluders' inputs and
+  masks.  Each is a linear map of the uniform (w, N) in F_q^(UV + n), N
+  the source symbols, and a linear map of rank r takes each of its q^r
+  values on exactly q^(UV + n - r) tuples, so its entropy is r log q.
+  Hence, exactly,
+
+      I(A; B | C) = (rk[A;C] + rk[B;C] - rk[A;B;C] - rk[C]) * log q,
+
+  and a check passes iff rk[A;C] + rk[B;C] == rk[A;B;C] + rk[C].  The
+  four ranks are taken with ``fields._span``; no tuple is enumerated, and
+  ``tuples_enumerated`` is q^(UV + n), the size of the space the verdict
+  is exact over.  A failing check reports the cell of the all-zero tuple,
+  written from its shape; its counts N_abc, N_c, N_ac and N_bc are
+  q^(UV + n - r) for r = rk[A;B;C], rk[C], rk[A;C] and rk[B;C], so the
+  count-product identity N_abc * N_c == N_ac * N_bc fails there.  The
+  enumerator that counts every tuple is kept in ``tests/oracles.py``,
+  which the tests compare this oracle with.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -59,7 +55,7 @@ input sum from any zero-row-sum linear scheme.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 
 from .errors import (
@@ -498,8 +494,10 @@ class IndependenceVerdict(
     )
 ):
     """One exact oracle check: ``relay`` is the relay id, None for the
-    server; a failing check's ``witness`` is (c, a, b, N_abc, N_c, N_ac,
-    N_bc) for the all-zero cell, and None otherwise."""
+    server; ``tuples_enumerated`` is q^(UV + n), the number of (w, N)
+    tuples the verdict is exact over.  A failing check's ``witness`` is
+    (c, a, b, N_abc, N_c, N_ac, N_bc) for the all-zero cell, each count
+    q^(UV + n - r) for its rank r, and None otherwise."""
 
     __slots__ = ()
 
@@ -514,137 +512,52 @@ class IndependenceVerdict(
         }
 
 
-def _codes(digits: list, q: int, n: int) -> list[int]:
-    """The n base-q integers whose digits, most significant first, are the
-    entries of the rows of ``digits`` at each position."""
-    codes = [0] * n
-    for row in digits:
-        codes = [c * q + d for c, d in zip(codes, row)]
-    return codes
+def _decide(
+    scheme: CoefficientScheme, tset: CollusionSet, relay: int | None
+) -> IndependenceVerdict:
+    """Decide one check from four ranks over F_q^(UV + n).
 
-
-class _Tables:
-    """What the exact oracle enumerates, built once for every check it serves.
-
-    Tuple (i, j) of the enumeration is (``inputs[i]``, ``masks[j]``): every
-    input vector w outer and every mask vector z = H N inner, each in
-    ``itertools.product`` order, and its b code is i.  What an observer
-    receives depends on w only through w's sums over its groups, so
-    ``seen[relay]`` (relay u, or the server as ``None``) is a pair
-    ``(keys, rows)``: ``keys[i]`` is those sums for input i, and
-    ``rows[keys[i]][j]`` the base-q code of what the observer receives from
-    tuple (i, j), built as the sum of one row per digit.  ``conditioning``
-    gives the codes of the value c a check conditions on.
+    A coordinate is one of the UV inputs w, users in order, or one of the n
+    source symbols N.  User i's input is the unit row e_i, its mask z_i =
+    h_i N the row (0, h_i), and what it sends the row (e_i, h_i).  A is the
+    members' rows for a relay, each cluster's row sum for the server; B the
+    unit rows of w; C the total sum of w (server only), then each
+    colluder's input and mask.  The check passes iff rk[A;C] + rk[B;C] ==
+    rk[A;B;C] + rk[C] (see the module docstring).
     """
+    cfg, q, n = scheme.cfg, scheme.field.q, scheme.n_source
+    users, m = cfg.users(), cfg.n_users
+    dim = m + n
+    w = [[int(j == i) for j in range(m)] + [0] * n for i in range(m)]
+    z = [[0] * m + list(scheme.coefficient_row(*user)) for user in users]
+    x = [[(a + b) % q for a, b in zip(wi, zi)] for wi, zi in zip(w, z)]
 
-    def __init__(self, scheme: CoefficientScheme) -> None:
-        cfg = self.cfg = scheme.cfg
-        q = self.q = scheme.field.q
-        self.inputs = list(itertools.product(range(q), repeat=cfg.n_users))
-        users = cfg.users()
-        self.index = {user: i for i, user in enumerate(users)}
-        hrows = [scheme.coefficient_row(*user) for user in users]
-        self.masks = [
-            tuple(sum(h * x for h, x in zip(row, nvec)) % q for row in hrows)
-            for nvec in itertools.product(range(q), repeat=scheme.n_source)
-        ]
-        # the digit rows of the conditioning codes: each user's w over the
-        # inputs and z over the masks, and the total input sum
-        self.w_rows = list(zip(*self.inputs))
-        self.z_rows = list(zip(*self.masks))
-        self.totals = [sum(w) % q for w in self.inputs]
-        # A relay sees each cluster member's w + z; the server sees each
-        # cluster's sum of them.
-        clusters = [
-            [self.index[(u, v)] for v in range(1, cfg.V + 1)] for u in range(1, cfg.U + 1)
-        ]
-        self.seen = {}
-        for relay in [*range(1, cfg.U + 1), None]:
-            groups = clusters if relay is None else [(i,) for i in clusters[relay - 1]]
-            self.seen[relay] = self._observed(groups)
+    def total(rows: list) -> list:
+        return [sum(col) % q for col in zip(*rows)]
 
-    def _observed(self, groups) -> tuple[list, dict]:
-        """Keys and rows of the code of the sums of w_i + z_i over i in each group, mod q.
-
-        Digit i of a code is group i's sum times q**(k - 1 - i), k groups in
-        all.  Its row over the masks is tabulated once for each value a of
-        the group's input sum, so a key's row, built once per distinct key
-        in first-seen order, is the elementwise sum of the k digit rows its
-        sums name."""
-        q, k = self.q, len(groups)
-        digits = []
-        for i, g in enumerate(groups):
-            zp = [sum(z[x] for x in g) % q for z in self.masks]
-            weight = q ** (k - 1 - i)
-            digits.append([[(a + y) % q * weight for y in zp] for a in range(q)])
-        keys = [tuple(sum(w[x] for x in g) % q for g in groups) for w in self.inputs]
-        rows = {
-            key: list(map(sum, zip(*(d[a] for d, a in zip(digits, key)))))
-            for key in dict.fromkeys(keys)
-        }
-        return keys, rows
-
-    def conditioning(self, tset: CollusionSet, server: bool) -> tuple[list, list]:
-        """The codes of the value c the check conditions on, as two lists:
-        each input's class code, of the total input sum (server only) and
-        the colluders' inputs, and each mask's z code, of the colluders'
-        masks, each code built from one row per base-q digit."""
-        q, idx = self.q, [self.index[t] for t in tset]
-        w_digits = ([self.totals] if server else []) + [self.w_rows[i] for i in idx]
-        classes = _codes(w_digits, q, len(self.inputs))
-        return classes, _codes([self.z_rows[i] for i in idx], q, len(self.masks))
-
-
-def _decide(tables: _Tables, tset: CollusionSet, relay: int | None) -> IndependenceVerdict:
-    """Decide one check by comparing the blocks of each conditioning class.
-
-    Each (a, z) pair is one integer, its cell code ``a * width + z``, width
-    being q^|C|, which every z code is below.  The inputs with one block
-    key (their a key and class) have the same cells over the masks, so each
-    distinct block is counted once, by ``Counter``, and compared with the
-    first block of its class; the check passes iff none differs (see the
-    module docstring).  ``tuples_enumerated`` is q^(UV + n), the enumeration
-    the verdict decides, also when a failing check stops at its first
-    differing block.
-    """
-    a_keys, a_rows = tables.seen[relay]
-    classes, z = tables.conditioning(tset, relay is None)
-    width = tables.q ** len(tset)
-
-    def cells(ka) -> Counter:
-        return Counter([a * width + y for a, y in zip(a_rows[ka], z)])
-
-    total = len(tables.inputs) * len(tables.masks)
-    first = {}  # per class, the cells of its first block
-    for ka, kc in dict.fromkeys(zip(a_keys, classes)):
-        counts = cells(ka)
-        # dict's own comparison: Counter's == is a loop in Python
-        if dict.__ne__(first.setdefault(kc, counts), counts):
-            break
+    clusters = [x[u * cfg.V:(u + 1) * cfg.V] for u in range(cfg.U)]
+    if relay is None:
+        a, c = [total(rows) for rows in clusters], [total(w)]
     else:
-        return IndependenceVerdict(True, relay, tset, total)
+        a, c = clusters[relay - 1], []
+    for t in tset:
+        i = users.index(t)
+        c += [w[i], z[i]]
 
-    # Some class differs.  Every observation is linear in (w, z), so the cell
-    # of tuple (0, 0), where w = 0 and z = 0, fails too; it is the witness,
-    # and its field values are zeros in the shape of c, a and b.
-    kc, cz = classes[0], z[0]
-    code = a_rows[a_keys[0]][0] * width + cz
-    members = Counter(ka for ka, k in zip(a_keys, classes) if k == kc)  # per a key
-    n_bc = z.count(cz)  # the same for every input of the class
-    counts = (
-        cells(a_keys[0])[code],
-        sum(members.values()) * n_bc,
-        sum(m * cells(ka)[code] for ka, m in members.items()),
-        n_bc,
-    )
-    if counts[0] * counts[1] == counts[2] * counts[3]:
-        raise AssertionError("a failing linear check must fail at the all-zero cell")
+    def rank(*parts: list) -> int:
+        return len(_span([row for part in parts for row in part], q))
+
+    ranks = r_abc, r_c, r_ac, r_bc = rank(a, w, c), rank(c), rank(a, c), rank(w, c)
+    tuples = q ** dim
+    if r_ac + r_bc == r_abc + r_c:
+        return IndependenceVerdict(True, relay, tset, tuples)
     cell = (
         ((0,) if relay is None else ()) + ((0, 0),) * len(tset),  # sum, then (w, z) per colluder
-        (0,) * (tables.cfg.U if relay is None else tables.cfg.V),  # one value per message
-        tables.inputs[0],
+        (0,) * len(a),  # one value per message
+        (0,) * m,
     )
-    return IndependenceVerdict(False, relay, tset, total, witness=cell + counts)
+    counts = tuple(q ** (dim - r) for r in ranks)  # N_abc, N_c, N_ac, N_bc
+    return IndependenceVerdict(False, relay, tset, tuples, witness=cell + counts)
 
 
 def exact_independence_check(
@@ -653,7 +566,7 @@ def exact_independence_check(
     relay: int | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> IndependenceVerdict:
-    """Decide a definitional security statement by complete enumeration (L = 1).
+    """Decide a definitional security statement exactly (L = 1).
 
     relay u (``relay=u``): are relay u's received messages independent of
     the full input set, given the colluders' inputs and masks?
@@ -661,15 +574,13 @@ def exact_independence_check(
     the input set, given the total input sum and the colluders' inputs and
     masks?
 
-    Builds the integer-coded tables that ``exact_sweep`` builds once for
-    all of its checks, and decides the check as the sweep does: it holds
-    iff every input of a conditioning class has the same counts of (a, z)
-    over the source vectors, which each distinct block of inputs shows once
-    (see the module docstring).  ``tuples_enumerated`` is the q^(UV + n)
-    (W, N) tuples that decides, also when a failing check stops at its
-    first differing block.  A failing check reports the cell of the
-    all-zero tuple, where every linear check that fails also fails, as its
-    witness, written from its shape.  Exact integers only.
+    The check holds iff rk[A;C] + rk[B;C] == rk[A;B;C] + rk[C] over
+    F_q^(UV + n), which is zero conditional mutual information (see the
+    module docstring).  ``cap`` bounds the q^(UV + n) tuples the verdict
+    is exact over, reported as ``tuples_enumerated``; a larger space
+    raises AuditBudgetExceeded.  A failing check reports the cell of the
+    all-zero tuple as its witness, with its four counts from the ranks.
+    Exact integers only.
     """
     _check_labels(scheme, tset, relay)
     total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
@@ -677,7 +588,7 @@ def exact_independence_check(
         raise AuditBudgetExceeded(
             f"exact check needs {total} tuples, cap is {cap}; refusing to sample"
         )
-    return _decide(_Tables(scheme), tset, relay)
+    return _decide(scheme, tset, relay)
 
 
 def exact_sweep(
@@ -686,11 +597,9 @@ def exact_sweep(
     """The exact oracle on every check the rank audit makes, in the audit's order.
 
     ``cap`` bounds the whole sweep: when the planned checks times the
-    q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised before
-    anything is enumerated.  The tables are built once and shared by every
-    check, and each check is decided by ``_decide``, which reports the
-    q^(UV + n) tuples it decides as ``tuples_enumerated``, also when it
-    stops at its first differing block.
+    q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised
+    before any check is decided.  Each check is decided by ``_decide``, as
+    ``exact_independence_check`` decides it.
     """
     cfg = scheme.cfg
     tuples = scheme.field.q ** (cfg.n_users + scheme.n_source)
@@ -698,8 +607,7 @@ def exact_sweep(
         raise AuditBudgetExceeded(
             f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
         )
-    tables = _Tables(scheme)
-    return [_decide(tables, tset, relay) for tset, relay in _checks(cfg)]
+    return [_decide(scheme, tset, relay) for tset, relay in _checks(cfg)]
 
 
 def infeasibility_attack(scheme: CoefficientScheme, transcript) -> tuple[int, ...]:

@@ -37,6 +37,7 @@ from conftest import (
     golden_3x2_f17_obj,
     vandermonde_product,
 )
+from oracles import _reference_exact_check
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -212,17 +213,19 @@ def test_criterion_4_mds_certification(built_schemes):
 
 
 def test_criterion_5_exact_definitional_security(exact_security_suite):
-    """Complete-enumeration independence checks pass at q = 5, exactly."""
+    """Exact independence checks pass at q = 5, as complete enumeration finds."""
     total_checks = 0
     for name, (scheme, verdicts) in exact_security_suite.items():
         for v in verdicts:
             assert v.passed, (name, v.relay, v.collusion)
             assert v.tuples_enumerated <= 5**7
+            reference = _reference_exact_check(scheme, v.collusion, v.relay)
+            assert v.to_json_obj() == reference.to_json_obj(), (name, v.relay, v.collusion)
             total_checks += 1
     _report(
         5,
         True,
-        f"{total_checks} zero-MI checks passed by complete enumeration "
+        f"{total_checks} zero-MI checks passed, each equal to complete enumeration "
         f"(<= 5^7 tuples each, exact integer counting)",
     )
 
@@ -322,6 +325,8 @@ def test_criterion_8_audit_soundness_cross_check(exact_security_suite):
         oracle = exact_independence_check(tampered, CollusionSet.of([]), relay=1)
         assert not oracle.passed, name
         assert oracle.witness is not None
+        reference = _reference_exact_check(tampered, CollusionSet.of([]), relay=1)
+        assert oracle.to_json_obj() == reference.to_json_obj(), name
         agreements.append(name)
     _report(
         8,

@@ -573,6 +573,23 @@ def test_unwritable_output_path_exit_2(golden_f3_file, tmp_path, capsys, command
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["build", "rates", "simulate"])
+def test_empty_output_path_exit_2(golden_f3_file, tmp_path, monkeypatch, capsys, command):
+    # an empty path names no file: it is refused, not read as "no output file"
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    argv = {
+        "build": ["build", "--U", "2", "--V", "2", "--T", "1", "--out"],
+        "rates": ["rates", "--U", "2", "--V", "2", "--T", "1", "--out"],
+        "simulate": ["simulate", "--scheme", golden_f3_file, "--transcript"],
+    }[command]
+    assert run_cli(*argv, "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_file_io_does_not_depend_on_the_locale(tmp_path, monkeypatch, capsys):
     # Files are read and written as UTF-8 whatever the locale: an interpreter
     # that turns every fallback on the locale's encoding into an error still

@@ -29,8 +29,7 @@ LEAKY = {
     "row_index": [["1,1", 0], ["1,2", 1], ["2,1", 2], ["2,2", 3]],
 }
 # (3, 1, 1) over F_5 whose rows are all multiples of (1, 0): 10 of its 16 exact
-# checks fail, relay ones with a colluder and server ones with and without,
-# and with V = 1 every input is a block of its own in a server check
+# checks fail, relay ones with a colluder and server ones with and without
 LEAKY_311 = {
     "U": 3, "V": 1, "T": 1, "q": 5,
     "H": {"q": 5, "rows": 3, "cols": 2, "data": [1, 0, 1, 0, 3, 0]},
@@ -82,8 +81,7 @@ AUDIT_434 = "7f9ca8f610f5004cce667c771730dbfbd029da70849677ca9132d97b2daa5a6e"
 # 4 and 102 server violations, over 74,465 and 88,312 checks
 VANDERMONDE_446 = _vandermonde(4, 4, 6, 31, 7)
 VANDERMONDE_635 = _vandermonde(6, 3, 5, 103, 8)
-# (2, 2, 1) at (5, 2): 15 exact checks of 5^7 = 78,125 tuples, all passing;
-# each check counts its 625 inputs in blocks of 5 or 25 that it cannot tell apart
+# (2, 2, 1) at (5, 2): 15 exact checks of 5^7 = 78,125 tuples, all passing
 VANDERMONDE_221 = _vandermonde(2, 2, 1, 5, 2)
 
 SWEEP = ["rates", "--sweep", "U=2..5", "V=1..4", "T=0..12"]

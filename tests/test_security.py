@@ -29,10 +29,8 @@ from hsagg.schemes import (
 from hsagg.security import (
     AuditReport,
     CollusionSet,
-    IndependenceVerdict,
     RankViolation,
     _checks,
-    _Tables,
     _planned_checks,
     _planned_nodes,
     _violations,
@@ -45,6 +43,7 @@ from hsagg.security import (
 )
 
 from conftest import elim_rank
+from oracles import _observations, _reference_exact_check
 
 
 def _with_collusion_budget(scheme: CoefficientScheme, T: int) -> CoefficientScheme:
@@ -690,56 +689,6 @@ def test_one_validator_serves_every_check(golden_3x2_f17, tset, match):
             relay_condition_matrix(golden_3x2_f17, relay, CollusionSet.of([]))
 
 
-def _observations(scheme, tset, relay):
-    """(a, b, c) for every (input, source draw) tuple, inputs outer: a plain
-    loop over the definitions, with no shared tables and no integer codes.
-    a is what relay ``relay`` (or the server, for None) receives, b the input
-    vector and c the conditioning value."""
-    cfg, q = scheme.cfg, scheme.field.q
-    users = cfg.users()
-    hrows = [scheme.coefficient_row(*user) for user in users]
-    masks = [
-        [sum(h * x for h, x in zip(row, nvec)) % q for row in hrows]
-        for nvec in itertools.product(range(q), repeat=scheme.n_source)
-    ]
-    pos = [users.index(t) for t in tset]
-    for w in itertools.product(range(q), repeat=cfg.n_users):
-        for z in masks:
-            x = [(wi + zi) % q for wi, zi in zip(w, z)]
-            cond = tuple((w[i], z[i]) for i in pos)
-            if relay is not None:
-                yield tuple(x[(relay - 1) * cfg.V:relay * cfg.V]), w, cond
-            else:
-                a = tuple(sum(x[u * cfg.V:(u + 1) * cfg.V]) % q for u in range(cfg.U))
-                yield a, w, (sum(w) % q,) + cond
-
-
-def _reference_exact_check(scheme, tset, relay=None) -> IndependenceVerdict:
-    """The oracle as first written: four count dicts updated per tuple, then
-    the identity on every cell of the full support product, each in
-    first-seen order; the first failing cell is the witness."""
-    n_abc, n_ac, n_bc, n_c = {}, {}, {}, {}
-    total = 0
-    for a, b, c in _observations(scheme, tset, relay):
-        total += 1
-        n_abc[(a, b, c)] = n_abc.get((a, b, c), 0) + 1
-        n_ac[(a, c)] = n_ac.get((a, c), 0) + 1
-        n_bc[(b, c)] = n_bc.get((b, c), 0) + 1
-        n_c[c] = n_c.get(c, 0) + 1
-    a_support, b_support = {}, {}
-    for (a, c) in n_ac:
-        a_support.setdefault(c, []).append(a)
-    for (b, c) in n_bc:
-        b_support.setdefault(c, []).append(b)
-    for c, count_c in n_c.items():
-        for a in a_support[c]:
-            for b in b_support[c]:
-                cell = (c, a, b, n_abc.get((a, b, c), 0), count_c, n_ac[(a, c)], n_bc[(b, c)])
-                if cell[3] * count_c != cell[5] * cell[6]:
-                    return IndependenceVerdict(False, relay, tset, total, witness=cell)
-    return IndependenceVerdict(True, relay, tset, total)
-
-
 def _block_rows(scheme, tset, relay=None) -> list[tuple]:
     """Per input, in order, its block: the (a, c) pairs of all its source
     draws, in order."""
@@ -778,7 +727,7 @@ def _random_oracle_scheme(rng: random.Random, limit: int) -> CoefficientScheme:
 
 
 def test_exact_sweep_matches_reference_oracle():
-    # the class-comparing sweep against the oracle it replaced, witness included
+    # the rank sweep against complete enumeration, witness included
     rng = random.Random(20261018)
     failing = set()
     shared, shared_witnesses = set(), 0  # modes with a block of 2+ inputs; witnesses in one
@@ -807,14 +756,14 @@ def test_exact_sweep_matches_reference_oracle():
                 compared.add((v["mode"], v["passed"]))
     # every shape of witness was compared: with and without colluders, both modes
     assert failing == {(mode, t) for mode in ("relay", "server") for t in (False, True)}
-    # the sweep counts a block once for all its inputs; the reference counts
-    # every tuple, so blocks of several inputs were compared too
+    # the sample holds checks where several inputs look alike to the observer
+    # (a block of 2+ inputs), in both modes, and witnesses in such a block
     assert shared == {"relay", "server"}
     assert shared_witnesses
     # and checks made of one-input blocks only, passing and failing
     assert single == {True, False}
-    # in both modes, passing and failing checks compared 2+ distinct blocks of
-    # one class, so no verdict rests on classes of one block alone
+    # and, in both modes, passing and failing checks whose conditioning
+    # classes hold 2+ distinct blocks
     assert compared == {(mode, p) for mode in ("relay", "server") for p in (True, False)}
 
 
@@ -842,41 +791,10 @@ def test_exact_witness_counts_recount():
     assert witnesses
 
 
-def test_exact_codes_decode_to_observations():
-    # tuple by tuple, the integer codes of c, a and b stand one-to-one for
-    # the values the definitions give: two tuples share a code exactly when
-    # they share the value, which is all the counting relies on
-    rng = random.Random(11)
-    for _ in range(20):
-        scheme = _random_oracle_scheme(rng, 10**4)
-        tables = _Tables(scheme)
-        for tset, relay in _checks(scheme.cfg):
-            (classes, z), (a_keys, a_rows) = (
-                tables.conditioning(tset, relay is None), tables.seen[relay]
-            )
-            # tuple (i, j) is (inputs[i], masks[j]), its c code the pair of
-            # input i's class code and mask j's z code, and its b code is i
-            codes = (
-                ((classes[i], z[j]), a_rows[a_keys[i]][j], i)
-                for i in range(len(tables.inputs))
-                for j in range(len(tables.masks))
-            )
-            plain = _observations(scheme, tset, relay)
-            pairs = [set(), set(), set()]  # (code, value) for c, a and b
-            for code, (a, b, c) in itertools.zip_longest(codes, plain):
-                for seen, pair in zip(pairs, zip(code, (c, a, b))):
-                    seen.add(pair)
-            for seen in pairs:
-                assert len(seen) == len({k for k, _ in seen}) == len({v for _, v in seen})
-            # every z code is below q^|C|, so a * q^|C| + z is one cell per (a, z)
-            assert max(z) < tables.q ** len(tset)
-
-
 def test_exact_sweep_equals_single_checks(golden_2x3_f3):
-    # the tables shared by a sweep and those built for one check agree
+    # a sweep decides each check as a single check does
     built = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
-    # V = 1, as in the benchmark's file: every input is a block of its own in
-    # a server check
+    # V = 1, as in the benchmark's file
     single = build_scheme(HsaConfig(3, 1, 1), q_hint=5)
     for scheme in (built, golden_2x3_f3, single):
         for subject, clean in ((scheme, True), (_zeroed_row(scheme, (1, 1)), False)):
