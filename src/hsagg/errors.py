@@ -35,6 +35,9 @@ class AuditBudgetExceeded(RuntimeError):
 
 # The default caps of ``hsa audit``, defined here so that the CLI can read
 # them without importing ``security``, which exports them too: the rank
-# audit's walk nodes (``--budget``) and the exact oracle's tuples (``--q-cap``).
+# audit's walk nodes (``--budget``), and for the exact oracle (``--q-cap``)
+# its checks times the q^(UV + n) tuples each is exact over.  The oracle
+# enumerates no tuple, so this bounds the size of the spaces its verdicts
+# cover, not its work.
 DEFAULT_RANK_BUDGET = 10**6
 DEFAULT_ENUMERATION_CAP = 10**7

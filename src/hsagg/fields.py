@@ -6,12 +6,8 @@ arithmetic is exact, so there are no tolerance questions anywhere.
 echelon basis.  ``_pivot_row`` normalizes a row to 1 at its first nonzero
 entry, ``_span`` builds such a basis from the residues with both, and
 ``FqMatrix.rank`` is its size, as is each of the exact oracle's four
-ranks.  The security audit's walk over collusion sets reduces every row
-modulo its starting bases with ``_reduce``, and adds each colluder as one
-more reduction step of those residuals, which then drop the step's pivot
-column.  At the two deepest levels it adds none: it normalizes each
-residual once with ``_pivot_row`` and compares the normalized rows.
-Everything here is a pure function of its arguments.
+ranks.  The security audit's walk uses ``_reduce`` and ``_pivot_row``
+too.  Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations

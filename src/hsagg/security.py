@@ -13,18 +13,13 @@ Two layers of checking:
   full enumeration or refuses with a budget error.  The audit does not
   eliminate each matrix: ``_violations`` makes one depth-first walk over
   the collusion sets per observer, the server's and then each relay's,
-  each carrying per node the rank of one echelon basis and the later
-  users' rows reduced modulo it, on its free columns only; adding a
-  colluder is one elimination step of those residuals, and the two
-  deepest levels are decided from the residuals normalized once, with no
-  step.  Own-cluster colluders never raise a relay's rank, so relay u
-  walks only the users outside cluster u and reports each deficient set
-  with every own-cluster extension within T.  Every reduction goes
-  through ``fields._reduce``, the package's one row reduction, which
-  ``FqMatrix.rank`` also uses, and every normalization through
-  ``fields._pivot_row``; this module defines neither.  The
-  condition-matrix builders below stay as the per-check oracle the tests
-  compare the walks with.
+  against one echelon basis (``_walk`` says how).  Own-cluster colluders
+  never raise a relay's rank, so relay u walks only the users outside
+  cluster u and reports each deficient set with every own-cluster
+  extension within T.  Rows are reduced and normalized with
+  ``fields._reduce`` and ``fields._pivot_row``, which ``FqMatrix.rank``
+  also uses.  The condition-matrix builders below stay as the per-check
+  oracle the tests compare the walks with.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information I(A; B | C), A what the observer
@@ -221,16 +216,16 @@ class AuditReport(namedtuple("AuditReport", "checks_performed violations")):
         }
 
 
-def _set_sizes(cfg: HsaConfig) -> range:
-    """Collusion set sizes to check: 0..T, capped at UV since no larger set exists."""
-    return range(min(cfg.T, cfg.n_users) + 1)
+def _depth(cfg: HsaConfig) -> int:
+    """The largest collusion set to check: T, capped at UV since no larger set exists."""
+    return min(cfg.T, cfg.n_users)
 
 
 def _checks(cfg: HsaConfig):
     """Yield (collusion set, relay) per check: sets by size, then lexicographic;
     per set, relays 1..U and then the server as ``relay=None``."""
     users = cfg.users()
-    for t in _set_sizes(cfg):
+    for t in range(_depth(cfg) + 1):
         for combo in itertools.combinations(users, t):
             tset = CollusionSet(combo)
             for relay in range(1, cfg.U + 1):
@@ -255,14 +250,14 @@ def _sets(users: int, depth: int, limit: int) -> int:
 def _planned_checks(cfg: HsaConfig, limit: int) -> int:
     """Number of checks ``_checks(cfg)`` yields, U + 1 per collusion set,
     returned as it stands once it passes ``limit``."""
-    return (cfg.U + 1) * _sets(cfg.n_users, _set_sizes(cfg)[-1], limit // (cfg.U + 1))
+    return (cfg.U + 1) * _sets(cfg.n_users, _depth(cfg), limit // (cfg.U + 1))
 
 
 def _planned_nodes(cfg: HsaConfig, limit: int) -> int:
     """Number of sets the walks of ``_violations`` visit, returned as it
     stands once it passes ``limit``: the server's over all UV users, then
     each relay's over the UV - V users outside its cluster."""
-    depth, outside = _set_sizes(cfg)[-1], cfg.n_users - cfg.V
+    depth, outside = _depth(cfg), cfg.n_users - cfg.V
     server = _sets(cfg.n_users, depth, limit)
     if server > limit:
         return server
@@ -296,80 +291,43 @@ def _walk(
     modulo it, and ``members`` are indices into ``table``.  No basis is
     kept: each node carries its rank and the residuals of the users after
     its last member.  A residual is zero at every pivot, so a table keeps
-    only the free columns: each step drops its pivot's, rows get shorter as
-    the walk goes deeper, and a row of no columns is zero.  Adding user j
-    raises the rank exactly when j's residual is nonzero, and the child's
+    only the free columns, and a row of no columns is zero.  Adding user j
+    raises the rank exactly when j's residual is nonzero.  A set's required
+    rank is ``floor`` plus its size; with ``cluster`` set, the users fall in
+    clusters of that many in order, and each cluster the set covers whole
+    takes one off ``floor``, down to 0.
+
+    Each set is decided in its parent's loop, the root before the walk
+    starts.  A node with three or more levels below it tests each child j's
+    residual with one ``any`` and descends into j when users follow it; j's
     table is one elimination step (``_stepped``) of the rows after j by that
-    residual; a zero residual leaves them as they are.  A set's required
-    rank is ``floor`` plus its size.  With ``cluster`` set, the users fall
-    in clusters of that many in order, and each cluster the set covers whole
-    takes one off ``floor``, down to 0.  A set that ends with the last user,
-    and so has no children, and a set of one user when ``depth`` is 1, is
-    decided in its parent's loop by one ``any`` of its residual.  A node two
-    below ``depth`` decides the two levels under it with no elimination
-    step (``finish``).  A node is visited only as the caller reads.
+    residual, which drops its pivot column, when the residual is nonzero.
+    A node with one or two levels below it decides them with no step, from
+    its rows each normalized once by ``_pivot_row`` (with one level left,
+    or one row, a row has none to be compared with and is only tested for
+    zero by one ``any``).  Child j raises the rank iff row j is nonzero,
+    and its child k iff row k is nonzero and not parallel to row j, that
+    is, iff their normalized rows differ.  So if the node is not deficient
+    and its rows are nonzero and pairwise distinct, no set below it is;
+    otherwise, under a child that is not deficient, only the leaves whose
+    row is zero or parallel to the child's can be.  A set is decided only
+    as the caller reads.
     """
-    n = len(table)
     members: list[int] = []
-    covered = [0] * (n // cluster if cluster else 0)  # members per cluster
+    covered = [0] * (len(table) // cluster if cluster else 0)  # members per cluster
 
-    def visit(rank: int, table: list, full: int, need: int):
-        size = len(members)
-        if rank < need:
-            yield tuple(members), rank, need
-        if size + 2 == depth:  # the root, when depth is 2
-            yield from finish(rank, table, full, need)
-            return
-        if size == depth:
-            return
-        leaf, finishing = size + 1 == depth, size + 3 == depth
-        first = members[-1] + 1 if members else 0
-        for i, row in enumerate(table):
-            j = first + i
-            child_full = full
-            if cluster:
-                c = j // cluster
-                covered[c] += 1
-                child_full += covered[c] == cluster
-            child_need = max(floor - child_full, 0) + size + 1
-            grow = any(row)
-            if leaf or j + 1 == n:
-                if rank + grow < child_need:
-                    yield (*members, j), rank + grow, child_need
+    def visit(rank: int, table: list, full: int, need: int) -> Iterator[tuple]:
+        levels = depth - len(members)  # of sets below this node
+        if levels < 3:
+            if levels == 2 and len(table) > 1:
+                pairs = map(_pivot_row, table, itertools.repeat(q))
+                norms = [pair and tuple(pair[1]) for pair in pairs]
             else:
-                members.append(j)
-                child_table = _stepped(table, i, q) if grow else table[i + 1:]
-                if not finishing:
-                    yield from visit(rank + grow, child_table, child_full, child_need)
-                else:  # the child and the two levels below it
-                    if rank + grow < child_need:
-                        yield tuple(members), rank + grow, child_need
-                    yield from finish(rank + grow, child_table, child_full, child_need)
-                members.pop()
-            if cluster:
-                covered[c] -= 1
-
-    def finish(rank: int, table: list, full: int, need: int) -> list:
-        """The deficient sets among the children and grandchildren of a node
-        two below ``depth``, in walk order, from its rows each normalized
-        once by ``_pivot_row``.  Child j raises the rank iff row j is
-        nonzero, and its child k iff row k is nonzero and not parallel to
-        row j, that is, iff their normalized rows differ.  So if the node is
-        not deficient and its rows are nonzero and pairwise distinct, no set
-        below it is; otherwise, under a child that is not deficient, only
-        the leaves whose row is zero or parallel to the child's can be.  A
-        lone row has no leaf under it and nothing to be compared with, so
-        it is only tested for zero, by one ``any``."""
-        if len(table) == 1:  # one child, the set that ends with the last user
-            norms = [tuple(table[0]) if any(table[0]) else None]
-        else:
-            pairs = map(_pivot_row, table, itertools.repeat(q))
-            norms = [pair and tuple(pair[1]) for pair in pairs]
-        if rank >= need and None not in norms and len(set(norms)) == len(norms):
-            return []
+                norms = [tuple(row) if any(row) else None for row in table]
+            if rank >= need and None not in norms and len(set(norms)) == len(norms):
+                return
         size, first = len(members), members[-1] + 1 if members else 0
-        found = []
-        for i, row in enumerate(norms):
+        for i, row in enumerate(table if levels >= 3 else norms):
             j = first + i
             child_full = full
             if cluster:
@@ -377,24 +335,32 @@ def _walk(
                 covered[c] += 1
                 child_full += covered[c] == cluster
             child_need = max(floor - child_full, 0) + size + 1
-            child_rank = rank + (row is not None)
+            child_rank = rank + (any(row) if levels >= 3 else row is not None)
             if child_rank < child_need:
-                found.append(((*members, j), child_rank, child_need))
+                yield (*members, j), child_rank, child_need
+            if levels >= 3 and i + 1 < len(table):  # the child has users after it
+                members.append(j)
+                child_table = _stepped(table, i, q) if child_rank > rank else table[i + 1:]
+                yield from visit(child_rank, child_table, child_full, child_need)
+                members.pop()
+            elif levels == 2:
                 leaves = range(i + 1, len(norms))
-            else:  # a leaf's row raises the rank unless it is zero or parallel
-                leaves = [x for x in range(i + 1, len(norms)) if norms[x] in (None, row)]
-            for x in leaves:
-                k = first + x
-                leaf_full = child_full + bool(cluster and covered[k // cluster] + 1 == cluster)
-                leaf_need = max(floor - leaf_full, 0) + size + 2
-                leaf_rank = child_rank + (norms[x] is not None and norms[x] != row)
-                if leaf_rank < leaf_need:
-                    found.append(((*members, j, k), leaf_rank, leaf_need))
+                if child_rank >= child_need:  # a leaf raises the rank unless zero or parallel
+                    leaves = [x for x in leaves if norms[x] in (None, row)]
+                for x in leaves:
+                    k = first + x
+                    leaf_full = child_full + bool(cluster and covered[k // cluster] + 1 == cluster)
+                    leaf_need = max(floor - leaf_full, 0) + size + 2
+                    leaf_rank = child_rank + (norms[x] is not None and norms[x] != row)
+                    if leaf_rank < leaf_need:
+                        yield (*members, j, k), leaf_rank, leaf_need
             if cluster:
                 covered[c] -= 1
-        return found
 
-    return visit(rank, table, 0, floor)
+    if rank < floor:
+        yield (), rank, floor
+    if depth:  # at depth 0 the root is the only set
+        yield from visit(rank, table, 0, floor)
 
 
 def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
@@ -423,7 +389,7 @@ def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
     first item: ``next(_violations(scheme), None) is None``.
     """
     cfg = scheme.cfg
-    depth = _set_sizes(cfg)[-1]
+    depth = _depth(cfg)
     if depth > _MAX_WALK_DEPTH:
         raise AuditBudgetExceeded(
             f"audit needs collusion sets of {depth} users, more than {_MAX_WALK_DEPTH}"

@@ -398,7 +398,8 @@ def test_walk_visits_each_observers_sets_once(monkeypatch):
     # 1 to T - 2 users, and one normalization per set of T - 1 users, which
     # decides the sets of T users with no further step; a set of T - 1 users
     # whose parent has no other child, the set of T - 2 users that ends with
-    # the last but one user, takes one ``any`` instead
+    # the last but one user, takes one ``any`` instead.  At T = 0, 1 and 2
+    # the root decides every set below it with no step
     from test_output_pins import VANDERMONDE_434
 
     scheme = import_scheme(VANDERMONDE_434)  # (4,3,4) at (23, 2): 10 server leaks
@@ -440,6 +441,16 @@ def test_walk_visits_each_observers_sets_once(monkeypatch):
     assert stepped == {12: inner[0], 9: 4 * inner[1]}
     assert pivots - stepped == {12: math.comb(12, 3) - 10, 9: 4 * (math.comb(9, 3) - 7)}
     assert len(violations) == 10 and all(v.relay is None for v in violations)
+    for T, counts in [
+        (0, ({}, {}, {})),  # the empty set alone: no row is looked at
+        (1, ({12: 12, 9: 4 * 9}, {}, {})),  # one ``any`` per set of one user
+        (2, ({}, {}, {12: 12, 9: 4 * 9})),  # one normalization per user
+    ]:
+        for counter in (walks, stepped, pivots, anys):
+            counter.clear()
+        assert list(_violations(_with_collusion_budget(scheme, T))) == []
+        assert walks == [12, 9, 9, 9, 9]
+        assert (anys, stepped, pivots) == counts
 
 
 def _zero_sum_scheme(cfg: HsaConfig, q: int, rows: list) -> CoefficientScheme:
