@@ -322,10 +322,9 @@ def build_scheme(cfg: HsaConfig, q_hint: int | None = None) -> CoefficientScheme
     smallest prime >= UV + 1, advancing to the next prime whenever no gamma
     certifies in the current field.  Raises AuditBudgetExceeded when one
     certificate needs more than _MINOR_LIMIT minors or _UPDATE_LIMIT moment
-    updates, or no (q, gamma) with q <= _PRIME_SEARCH_LIMIT certifies.
+    updates, or no (q, gamma) with q <= _PRIME_SEARCH_LIMIT certifies;
+    ``optimal_source_rate`` raises InfeasibleConfiguration outside the region.
     """
-    if not cfg.feasible:
-        raise InfeasibleConfiguration(cfg.U, cfg.V, cfg.T)
     n = optimal_source_rate(cfg)
     m, r = cfg.n_users - 1, n - 1
     minors = 1  # C(m, i) grows with i up to min(r, m - r): stop once past the limit

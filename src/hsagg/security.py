@@ -18,8 +18,8 @@ Two layers of checking:
   cluster u and reports each deficient set with every own-cluster
   extension within T.  Rows are reduced and normalized with
   ``fields._reduce`` and ``fields._pivot_row``, which ``FqMatrix.rank``
-  also uses.  The condition-matrix builders below stay as the per-check
-  oracle the tests compare the walks with.
+  also uses.  Each walk starts from a condition-matrix builder below at
+  the empty set, and each exact check reads its rows from one.
 
 * Exact independence oracle.  The definitional security statements are
   zero conditional mutual information I(A; B | C), A what the observer
@@ -28,19 +28,36 @@ Two layers of checking:
   masks.  Each is a linear map of the uniform (w, N) in F_q^(UV + n), N
   the source symbols, and a linear map of rank r takes each of its q^r
   values on exactly q^(UV + n - r) tuples, so its entropy is r log q.
-  Hence, exactly,
+  Hence, exactly, I(A; B | C) = (rk[A;C] + rk[B;C] - rk[A;B;C] - rk[C])
+  log q, and a check passes iff rk[A;C] + rk[B;C] == rk[A;B;C] + rk[C].
 
-      I(A; B | C) = (rk[A;C] + rk[B;C] - rk[A;B;C] - rk[C]) * log q,
+  As rows over F_q^(UV + n), user i's input is (e_i, 0), its mask
+  (0, h_i) and its message (e_i, h_i); the server receives each cluster's
+  sum (1_u, g_u).  With "rows" the check's condition matrix, whose last
+  |C| rows are the colluders' h_C, and G the column sums of H (zero for
+  every scheme that decodes), the four ranks are
 
-  and a check passes iff rk[A;C] + rk[B;C] == rk[A;B;C] + rk[C].  The
-  four ranks are taken with ``fields._span``; no tuple is enumerated, and
-  ``tuples_enumerated`` is q^(UV + n), the size of the space the verdict
-  is exact over.  A failing check reports the cell of the all-zero tuple,
-  written from its shape; its counts N_abc, N_c, N_ac and N_bc are
-  q^(UV + n - r) for r = rk[A;B;C], rk[C], rk[A;C] and rk[B;C], so the
-  count-product identity N_abc * N_c == N_ac * N_bc fails there.  The
-  enumerator that counts every tuple is kept in ``tests/oracles.py``,
-  which the tests compare this oracle with.
+      rk[B;C]   = UV + rk(h_C),
+      rk[C]     = |C| + rk(h_C)       (+ 1: server, C not every user),
+      rk[A;C]   = rk[C] + rows - |C|  (+ 1: server, G not in span(h_C)),
+      rk[A;B;C] = UV + rk(rows)       (rows and G for the server).
+
+  B spans every input coordinate, so [B;C] and [A;B;C] have rank UV plus
+  that of their mask parts, where a covered cluster's g_u lies in
+  span(h_C) and the last uncovered one's is G less the others.  The total
+  sum lies in the span of C's inputs only when C is every user.  Each of a
+  relay's messages from outside C holds an input coordinate that C lacks;
+  the server's k uncovered sums have disjoint supports outside C and add
+  up to (0, G) modulo C, so they add k - 1 = rows - |C| ranks, and one
+  more iff G lies outside span(h_C).  A check thus takes two
+  ``fields._span`` calls, of h_C and of the rows, and no tuple is
+  enumerated: ``tuples_enumerated`` is q^(UV + n), the size of the space
+  the verdict is exact over.  A failing check reports the all-zero tuple's
+  cell, written from its shape, with counts N_abc, N_c, N_ac and N_bc of
+  q^(UV + n - r) for r = rk[A;B;C], rk[C], rk[A;C] and rk[B;C], so
+  N_abc * N_c != N_ac * N_bc there.  ``tests/oracles.py`` keeps the
+  enumerator and the four ranks over F_q^(UV + n) itself, which the tests
+  compare this oracle with.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -382,10 +399,11 @@ def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
     cluster u and |C| <= T, all with D's ranks.  The server goes first, so
     a walk that reaches the largest sets gets there before a relay lists
     the own-cluster supersets of a small one.  Each walk starts from its
-    users' rows reduced modulo its basis, without the basis's pivot
-    columns, where every residual is zero.  The depth refusal, the rows
-    and every walk's starting table are set up on the call, but a set is
-    visited only as the caller reads, so a pass/fail caller stops at the
+    users' rows reduced modulo its basis, the span of its condition matrix
+    at the empty set, without the basis's pivot columns, where every
+    residual is zero.  The depth refusal, the rows and every walk's
+    starting table are set up on the call, but a set is visited only as
+    the caller reads, so a pass/fail caller stops at the
     first item: ``next(_violations(scheme), None) is None``.
     """
     cfg = scheme.cfg
@@ -396,20 +414,20 @@ def _violations(scheme: CoefficientScheme) -> Iterator[RankViolation]:
         )
     q, U, V, users = scheme.field.q, cfg.U, cfg.V, cfg.users()
     rows = [scheme.coefficient_row(*user) for user in users]
+    empty = CollusionSet(())
 
-    def start(spanned: list, walked: list) -> tuple[list, int]:
-        basis = _span(spanned, q)
+    def start(spanned: FqMatrix, walked: list) -> tuple[list, int]:
+        basis = _span(spanned.row_list(), q)
         pivots = {p for p, _ in basis}
         free = [i for i in range(scheme.H.cols) if i not in pivots]  # the residuals' columns
         residuals = (_reduce(basis, row, q) for row in walked)
         return [[r[i] for i in free] for r in residuals], len(basis)
 
-    sums = [_cluster_sum_row(scheme, u) for u in range(1, U)]
-    server = _walk(*start(sums, rows), U - 1, depth, q, V)
+    server = _walk(*start(server_condition_matrix(scheme, empty), rows), U - 1, depth, q, V)
     relays = []
     for u in range(1, U + 1):
         lo, hi = (u - 1) * V, u * V
-        table, rank = start(rows[lo:hi], rows[:lo] + rows[hi:])
+        table, rank = start(relay_condition_matrix(scheme, u, empty), rows[:lo] + rows[hi:])
         relays.append((u, lo, _walk(table, rank, V, min(depth, len(table)), q)))
 
     def violations() -> Iterator[RankViolation]:
@@ -460,10 +478,10 @@ class IndependenceVerdict(
     )
 ):
     """One exact oracle check: ``relay`` is the relay id, None for the
-    server; ``tuples_enumerated`` is q^(UV + n), the number of (w, N)
-    tuples the verdict is exact over.  A failing check's ``witness`` is
-    (c, a, b, N_abc, N_c, N_ac, N_bc) for the all-zero cell, each count
-    q^(UV + n - r) for its rank r, and None otherwise."""
+    server; ``tuples_enumerated`` is q^(UV + n), the number of (w, N) tuples
+    the verdict is exact over.  A failing check's ``witness`` is (c, a, b,
+    N_abc, N_c, N_ac, N_bc) for the all-zero cell, each count q^(UV + n - r)
+    for its rank r (see the module docstring), and None otherwise."""
 
     __slots__ = ()
 
@@ -481,48 +499,30 @@ class IndependenceVerdict(
 def _decide(
     scheme: CoefficientScheme, tset: CollusionSet, relay: int | None
 ) -> IndependenceVerdict:
-    """Decide one check from four ranks over F_q^(UV + n).
-
-    A coordinate is one of the UV inputs w, users in order, or one of the n
-    source symbols N.  User i's input is the unit row e_i, its mask z_i =
-    h_i N the row (0, h_i), and what it sends the row (e_i, h_i).  A is the
-    members' rows for a relay, each cluster's row sum for the server; B the
-    unit rows of w; C the total sum of w (server only), then each
-    colluder's input and mask.  The check passes iff rk[A;C] + rk[B;C] ==
-    rk[A;B;C] + rk[C] (see the module docstring).
-    """
-    cfg, q, n = scheme.cfg, scheme.field.q, scheme.n_source
-    users, m = cfg.users(), cfg.n_users
-    dim = m + n
-    w = [[int(j == i) for j in range(m)] + [0] * n for i in range(m)]
-    z = [[0] * m + list(scheme.coefficient_row(*user)) for user in users]
-    x = [[(a + b) % q for a, b in zip(wi, zi)] for wi, zi in zip(w, z)]
-
-    def total(rows: list) -> list:
-        return [sum(col) % q for col in zip(*rows)]
-
-    clusters = [x[u * cfg.V:(u + 1) * cfg.V] for u in range(cfg.U)]
+    """Decide one check from the ranks of its condition matrix, by the four
+    rank formulas of the module docstring."""
+    q, m, k = scheme.field.q, scheme.cfg.n_users, len(tset)
     if relay is None:
-        a, c = [total(rows) for rows in clusters], [total(w)]
+        rows = server_condition_matrix(scheme, tset).row_list()
     else:
-        a, c = clusters[relay - 1], []
-    for t in tset:
-        i = users.index(t)
-        c += [w[i], z[i]]
-
-    def rank(*parts: list) -> int:
-        return len(_span([row for part in parts for row in part], q))
-
-    ranks = r_abc, r_c, r_ac, r_bc = rank(a, w, c), rank(c), rank(a, c), rank(w, c)
-    tuples = q ** dim
+        rows = relay_condition_matrix(scheme, relay, tset).row_list()
+    colluders = _span(rows[len(rows) - k:], q)  # a basis of h_C
+    r_c, added = k + len(colluders), len(rows) - k  # rk[C], rk[A;C] - rk[C]
+    if relay is None:
+        g = scheme.H.column_sums()
+        r_c += k < m
+        added += any(_reduce(colluders, g, q))
+        rows.append(g)
+    r_abc, r_ac, r_bc = m + len(_span(rows, q)), r_c + added, m + len(colluders)
+    tuples = q ** (m + scheme.n_source)
     if r_ac + r_bc == r_abc + r_c:
         return IndependenceVerdict(True, relay, tset, tuples)
     cell = (
-        ((0,) if relay is None else ()) + ((0, 0),) * len(tset),  # sum, then (w, z) per colluder
-        (0,) * len(a),  # one value per message
+        ((0,) if relay is None else ()) + ((0, 0),) * k,  # sum, then (w, z) per colluder
+        (0,) * (scheme.cfg.U if relay is None else scheme.cfg.V),  # one value per message
         (0,) * m,
     )
-    counts = tuple(q ** (dim - r) for r in ranks)  # N_abc, N_c, N_ac, N_bc
+    counts = tuple(tuples // q ** r for r in (r_abc, r_c, r_ac, r_bc))  # N_abc, N_c, N_ac, N_bc
     return IndependenceVerdict(False, relay, tset, tuples, witness=cell + counts)
 
 
@@ -540,12 +540,11 @@ def exact_independence_check(
     the input set, given the total input sum and the colluders' inputs and
     masks?
 
-    The check holds iff rk[A;C] + rk[B;C] == rk[A;B;C] + rk[C] over
-    F_q^(UV + n), which is zero conditional mutual information (see the
-    module docstring).  ``cap`` bounds the q^(UV + n) tuples the verdict
-    is exact over, reported as ``tuples_enumerated``; a larger space
-    raises AuditBudgetExceeded.  A failing check reports the cell of the
-    all-zero tuple as its witness, with its four counts from the ranks.
+    The check holds iff its four ranks, read off its condition matrix as
+    the module docstring derives, give zero conditional mutual
+    information.  ``cap`` bounds the q^(UV + n) tuples the verdict is exact
+    over, reported as ``tuples_enumerated``; a larger space raises
+    AuditBudgetExceeded.  A failing check's witness is the all-zero cell.
     Exact integers only.
     """
     _check_labels(scheme, tset, relay)

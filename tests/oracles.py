@@ -1,18 +1,22 @@
-"""The exact independence oracle by complete enumeration.
+"""Two references for the exact independence oracle.
 
 ``hsagg.security`` decides each check from four ranks, by the identity
-I(A; B | C) = (rk[A;C] + rk[B;C] - rk[A;B;C] - rk[C]) log q.  The
-reference here shares nothing with it: it walks every (input, source draw)
-tuple through the definitions, counts the four marginals in dicts, and
-tests the count-product identity N(a,b,c) N(c) == N(a,c) N(b,c) on every
-cell of the support.  The tests hold each runtime verdict, witness
-included, to the verdict it gives.
+I(A; B | C) = (rk[A;C] + rk[B;C] - rk[A;B;C] - rk[C]) log q, and reads
+the ranks off the check's condition matrix.  ``_reference_exact_check``
+shares nothing with it: it walks every (input, source draw) tuple through
+the definitions, counts the four marginals in dicts, and tests the
+count-product identity N(a,b,c) N(c) == N(a,c) N(b,c) on every cell of
+the support.  ``big_space_verdict`` takes the same four ranks over
+F_q^(UV + n) itself, from every observation written out as a row, so it
+reaches schemes far past the enumerator's.  The tests hold each runtime
+verdict, witness included, to the verdicts they give.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from hsagg.fields import _span
 from hsagg.security import IndependenceVerdict
 
 
@@ -64,3 +68,46 @@ def _reference_exact_check(scheme, tset, relay=None) -> IndependenceVerdict:
                 if cell[3] * count_c != cell[5] * cell[6]:
                     return IndependenceVerdict(False, relay, tset, total, witness=cell)
     return IndependenceVerdict(True, relay, tset, total)
+
+
+def big_space_verdict(scheme, tset, relay=None) -> IndependenceVerdict:
+    """The verdict from four ranks of rows over F_q^(UV + n): inputs w
+    first, users in order, then the n source symbols N.  User i's input is
+    the unit row e_i, its mask z_i = h_i N the row (0, h_i), and what it
+    sends the row (e_i, h_i).  A is the members' rows for a relay, each
+    cluster's row sum for the server; B the unit rows of w; C the total sum
+    of w (server only), then each colluder's input and mask.  The witness
+    is the all-zero cell, each count q^(UV + n - r) for its rank r."""
+    cfg, q, n = scheme.cfg, scheme.field.q, scheme.n_source
+    users, m = cfg.users(), cfg.n_users
+    dim = m + n
+    w = [[int(j == i) for j in range(m)] + [0] * n for i in range(m)]
+    z = [[0] * m + list(scheme.coefficient_row(*user)) for user in users]
+    x = [[(a + b) % q for a, b in zip(wi, zi)] for wi, zi in zip(w, z)]
+
+    def total(rows: list) -> list:
+        return [sum(col) % q for col in zip(*rows)]
+
+    clusters = [x[u * cfg.V:(u + 1) * cfg.V] for u in range(cfg.U)]
+    if relay is None:
+        a, c = [total(rows) for rows in clusters], [total(w)]
+    else:
+        a, c = clusters[relay - 1], []
+    for t in tset:
+        i = users.index(t)
+        c += [w[i], z[i]]
+
+    def rank(*parts: list) -> int:
+        return len(_span([row for part in parts for row in part], q))
+
+    ranks = r_abc, r_c, r_ac, r_bc = rank(a, w, c), rank(c), rank(a, c), rank(w, c)
+    tuples = q ** dim
+    if r_ac + r_bc == r_abc + r_c:
+        return IndependenceVerdict(True, relay, tset, tuples)
+    cell = (
+        ((0,) if relay is None else ()) + ((0, 0),) * len(tset),
+        (0,) * len(a),
+        (0,) * m,
+    )
+    counts = tuple(q ** (dim - r) for r in ranks)  # N_abc, N_c, N_ac, N_bc
+    return IndependenceVerdict(False, relay, tset, tuples, witness=cell + counts)

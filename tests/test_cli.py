@@ -935,17 +935,26 @@ def test_bench_tracer_finds_every_wrapped_name(tmp_path):
 
 
 def test_bench_tracer_runs_an_audit(tmp_path):
-    # one traced command: the wrapped audit must be the one the CLI calls
+    # one traced command each: the wrapped audit must be the one the CLI
+    # calls, and the walk and the exact oracle read every observer's rows
+    # from the condition-matrix builders, which the tracer counts: the
+    # audit once per observer, and --exact once more per check, U relay
+    # checks and one server check for each of the 5 sets of at most 1 user
     scheme = build_scheme(HsaConfig(2, 2, 1))
     (tmp_path / "scheme.json").write_text(scheme_to_json(scheme))
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"commands": [
-        {"argv": ["audit", "--scheme", "scheme.json"], "cwd": str(tmp_path)},
-    ]}))
-    out = tmp_path / "out.json"
     tracer = ROOT / "bench" / "tracer.py"
-    proc = run_process([str(tracer), str(spec), str(out)], tmp_path, 60)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(out.read_text())
-    assert [c["exit"] for c in result["commands"]] == [0]
-    assert result["stats"]["security.audit"][0] == 1
+    for flags, relay_calls, server_calls in (([], 2, 1), (["--exact"], 12, 6)):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"commands": [
+            {"argv": ["audit", "--scheme", "scheme.json", *flags], "cwd": str(tmp_path)},
+        ]}))
+        out = tmp_path / "out.json"
+        proc = run_process([str(tracer), str(spec), str(out)], tmp_path, 60)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(out.read_text())
+        assert [c["exit"] for c in result["commands"]] == [0]
+        stats = result["stats"]
+        assert stats["security.audit"][0] == 1
+        assert stats["security.relay_condition_matrix"][0] == relay_calls
+        assert stats["security.server_condition_matrix"][0] == server_calls
+        assert result["counters"]["relay.checks"] == relay_calls

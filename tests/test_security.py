@@ -43,7 +43,7 @@ from hsagg.security import (
 )
 
 from conftest import elim_rank
-from oracles import _observations, _reference_exact_check
+from oracles import _observations, _reference_exact_check, big_space_verdict
 
 
 def _with_collusion_budget(scheme: CoefficientScheme, T: int) -> CoefficientScheme:
@@ -744,6 +744,10 @@ def test_exact_sweep_matches_reference_oracle():
     shared, shared_witnesses = set(), 0  # modes with a block of 2+ inputs; witnesses in one
     single = set()  # verdicts of server checks whose blocks all hold one input
     compared = set()  # (mode, passed) of checks with a class of 2+ distinct blocks
+    # checks on each branch of the condition-matrix ranks: server checks
+    # with G, H's column sums, outside span(h_C); checks whose colluders'
+    # rows h_C are dependent; server checks where every user colludes
+    g_outside = dependent = everyone = 0
     for _ in range(60):
         scheme = _random_oracle_scheme(rng, 2 * 10**4)
         expected = [
@@ -754,7 +758,13 @@ def test_exact_sweep_matches_reference_oracle():
         failing.update(
             (v["mode"], bool(v["collusion"])) for v in expected if not v["passed"]
         )
+        q, g = scheme.field.q, scheme.H.column_sums()
         for (tset, relay), v in zip(_checks(scheme.cfg), expected):
+            basis = _span([scheme.coefficient_row(*t) for t in tset], q)
+            dependent += len(basis) < len(tset)
+            if relay is None:
+                g_outside += any(_reduce(basis, g, q))
+                everyone += len(tset) == scheme.cfg.n_users
             rows = _block_rows(scheme, tset, relay)
             sizes = Counter(rows)
             if max(sizes.values()) >= 2:
@@ -776,6 +786,7 @@ def test_exact_sweep_matches_reference_oracle():
     # and, in both modes, passing and failing checks whose conditioning
     # classes hold 2+ distinct blocks
     assert compared == {(mode, p) for mode in ("relay", "server") for p in (True, False)}
+    assert g_outside and dependent and everyone, (g_outside, dependent, everyone)
 
 
 def test_exact_witness_counts_recount():
@@ -800,6 +811,26 @@ def test_exact_witness_counts_recount():
             assert n_abc * n_c != n_ac * n_bc
             witnesses += 1
     assert witnesses
+
+
+def test_exact_sweep_matches_big_space_reference():
+    # the ranks read off each condition matrix against the four ranks taken
+    # over F_q^(UV + n), verdict for verdict, witness included: on the
+    # benchmark's (4,3,4) file at (q, gamma) = (23, 2), 23^19 tuples a check,
+    # where no enumerator reaches, and on random schemes, zero-sum or not
+    bench = build_scheme(HsaConfig(4, 3, 4))
+    assert (bench.field.q, bench.params.gamma) == (23, 2)
+    rng = random.Random(20261021)
+    schemes = [bench] + [_random_scheme(rng) for _ in range(30)]
+    assert {bool(any(s.H.column_sums())) for s in schemes} == {False, True}
+    failing = 0
+    for scheme in schemes:
+        expected = [
+            big_space_verdict(scheme, tset, relay) for tset, relay in _checks(scheme.cfg)
+        ]
+        assert exact_sweep(scheme, cap=10**60) == expected
+        failing += sum(not v.passed for v in expected)
+    assert failing
 
 
 def test_exact_sweep_equals_single_checks(golden_2x3_f3):
