@@ -35,7 +35,6 @@ from types import SimpleNamespace
 # build, rates and compare load neither.
 from . import rates, schemes
 from .errors import (
-    DEFAULT_ENUMERATION_CAP,
     DEFAULT_RANK_BUDGET,
     AuditBudgetExceeded,
     ConfigurationError,
@@ -187,15 +186,14 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     from . import security
 
-    for flag, value in (("--budget", args.budget), ("--q-cap", args.q_cap)):
-        if value < 0:
-            raise ConfigurationError(f"{flag} must be nonnegative, got {value}")
+    if args.budget < 0:
+        raise ConfigurationError(f"--budget must be nonnegative, got {args.budget}")
     scheme = _load_scheme(args.scheme)
     report = security.audit(scheme, budget=args.budget)
     obj = report.to_json_obj()
     failed = not report.passed
     if args.exact:
-        verdicts = security.exact_sweep(scheme, args.q_cap)
+        verdicts = security.exact_sweep(scheme, args.budget)
         obj["exact_checks"] = [v.to_json_obj() for v in verdicts]
         failed = failed or any(not v.passed for v in verdicts)
     _report(args, obj, "")
@@ -291,10 +289,9 @@ _COMMANDS = {
         ("--scheme", {"required": True}),
         ("--exact", {"action": "store_true",
                      "help": "additionally decide each check's zero conditional MI exactly"}),
-        ("--q-cap", {"type": int, "default": DEFAULT_ENUMERATION_CAP,
-                     "help": "cap on the exact oracle's whole sweep: checks x q^(UV+n) tuples"}),
         ("--budget", {"type": int, "default": DEFAULT_RANK_BUDGET, "help":
-                      "cap on the audit's walk: collusion sets visited over all observers"}),
+                      "cap on the collusion sets the walk visits and, with --exact, "
+                      "on the checks the oracle decides"}),
         _PRETTY,
     ]),
     "attack": ("run the oversized-collusion recovery attack", {"func": cmd_attack}, [

@@ -30,14 +30,11 @@ class CorrectnessViolation(ValueError):
 
 
 class AuditBudgetExceeded(RuntimeError):
-    """An exhaustive check would exceed its configured enumeration cap."""
+    """An exhaustive check would exceed its budget, or a limit that no budget lifts."""
 
 
-# The default caps of ``hsa audit``, defined here so that the CLI can read
-# them without importing ``security``, which exports them too: the rank
-# audit's walk nodes (``--budget``), and for the exact oracle (``--q-cap``)
-# its checks times the q^(UV + n) tuples each is exact over.  The oracle
-# enumerates no tuple, so this bounds the size of the spaces its verdicts
-# cover, not its work.
+# The default budget of ``hsa audit --budget``, defined here so that the CLI
+# can read it without importing ``security``, which exports it too: the
+# collusion sets the rank audit's walk visits, and with --exact the checks
+# the exact oracle decides.
 DEFAULT_RANK_BUDGET = 10**6
-DEFAULT_ENUMERATION_CAP = 10**7

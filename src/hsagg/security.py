@@ -55,9 +55,11 @@ Two layers of checking:
   the verdict is exact over.  A failing check reports the all-zero tuple's
   cell, written from its shape, with counts N_abc, N_c, N_ac and N_bc of
   q^(UV + n - r) for r = rk[A;B;C], rk[C], rk[A;C] and rk[B;C], so
-  N_abc * N_c != N_ac * N_bc there.  ``tests/oracles.py`` keeps the
-  enumerator and the four ranks over F_q^(UV + n) itself, which the tests
-  compare this oracle with.
+  N_abc * N_c != N_ac * N_bc there.  A check's cost does not grow with
+  its space, so ``exact_sweep`` counts checks against the budget that the
+  walk counts sets against.  ``tests/oracles.py`` keeps the enumerator and
+  the four ranks over F_q^(UV + n) itself, which the tests compare this
+  oracle with.
 
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
@@ -70,12 +72,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import (
-    DEFAULT_ENUMERATION_CAP,
-    DEFAULT_RANK_BUDGET,
-    AuditBudgetExceeded,
-    CorrectnessViolation,
-)
+from .errors import DEFAULT_RANK_BUDGET, AuditBudgetExceeded, CorrectnessViolation
 from .fields import FqMatrix, _pivot_row, _reduce, _span
 from .rates import HsaConfig
 from .schemes import CoefficientScheme, _require_zero_row_sum
@@ -92,7 +89,6 @@ __all__ = [
     "exact_sweep",
     "infeasibility_attack",
     "DEFAULT_RANK_BUDGET",
-    "DEFAULT_ENUMERATION_CAP",
 ]
 
 # The walk nests one generator per colluder.  Sets of up to d colluders number
@@ -162,8 +158,8 @@ def relay_condition_matrix(
 
 
 def _cluster_sum_row(scheme: CoefficientScheme, u: int) -> tuple[int, ...]:
-    rows = [scheme.coefficient_row(u, v) for v in range(1, scheme.cfg.V + 1)]
-    return FqMatrix.from_rows(scheme.field, rows).column_sums()
+    rows = (scheme.coefficient_row(u, v) for v in range(1, scheme.cfg.V + 1))
+    return tuple(sum(column) % scheme.field.q for column in zip(*rows))
 
 
 def server_condition_matrix(scheme: CoefficientScheme, tset: CollusionSet) -> FqMatrix:
@@ -496,11 +492,22 @@ class IndependenceVerdict(
         }
 
 
-def _decide(
-    scheme: CoefficientScheme, tset: CollusionSet, relay: int | None
+def exact_independence_check(
+    scheme: CoefficientScheme, tset: CollusionSet, relay: int | None = None
 ) -> IndependenceVerdict:
-    """Decide one check from the ranks of its condition matrix, by the four
-    rank formulas of the module docstring."""
+    """Decide a definitional security statement exactly (L = 1).
+
+    relay u (``relay=u``): are relay u's received messages independent of
+    the full input set, given the colluders' inputs and masks?
+    server (``relay=None``): are the relay-to-server messages independent of
+    the input set, given the total input sum and the colluders' inputs and
+    masks?
+
+    The check holds iff its four ranks, read off its condition matrix by
+    the formulas of the module docstring, give zero conditional mutual
+    information: two ``fields._span`` calls, however large q^(UV + n).  A
+    failing check's witness is the all-zero cell.  Exact integers only.
+    """
     q, m, k = scheme.field.q, scheme.cfg.n_users, len(tset)
     if relay is None:
         rows = server_condition_matrix(scheme, tset).row_list()
@@ -526,53 +533,30 @@ def _decide(
     return IndependenceVerdict(False, relay, tset, tuples, witness=cell + counts)
 
 
-def exact_independence_check(
-    scheme: CoefficientScheme,
-    tset: CollusionSet,
-    relay: int | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> IndependenceVerdict:
-    """Decide a definitional security statement exactly (L = 1).
-
-    relay u (``relay=u``): are relay u's received messages independent of
-    the full input set, given the colluders' inputs and masks?
-    server (``relay=None``): are the relay-to-server messages independent of
-    the input set, given the total input sum and the colluders' inputs and
-    masks?
-
-    The check holds iff its four ranks, read off its condition matrix as
-    the module docstring derives, give zero conditional mutual
-    information.  ``cap`` bounds the q^(UV + n) tuples the verdict is exact
-    over, reported as ``tuples_enumerated``; a larger space raises
-    AuditBudgetExceeded.  A failing check's witness is the all-zero cell.
-    Exact integers only.
-    """
-    _check_labels(scheme, tset, relay)
-    total = scheme.field.q ** (scheme.cfg.n_users + scheme.n_source)
-    if total > cap:
-        raise AuditBudgetExceeded(
-            f"exact check needs {total} tuples, cap is {cap}; refusing to sample"
-        )
-    return _decide(scheme, tset, relay)
+# Each verdict writes q^(UV + n) out in full, and Python 3.11 and later write
+# no integer of more than 4,300 digits, so the sweep refuses a larger space.
+_MAX_TUPLES = 10**4300
 
 
 def exact_sweep(
-    scheme: CoefficientScheme, cap: int = DEFAULT_ENUMERATION_CAP
+    scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET
 ) -> list[IndependenceVerdict]:
     """The exact oracle on every check the rank audit makes, in the audit's order.
 
-    ``cap`` bounds the whole sweep: when the planned checks times the
-    q^(UV + n) tuples of each exceed it, AuditBudgetExceeded is raised
-    before any check is decided.  Each check is decided by ``_decide``, as
-    ``exact_independence_check`` decides it.
+    Before any check is decided, AuditBudgetExceeded is raised when the
+    checks number more than ``budget``, or when q^(UV + n), each verdict's
+    ``tuples_enumerated``, reaches 10^4300.
     """
-    cfg = scheme.cfg
-    tuples = scheme.field.q ** (cfg.n_users + scheme.n_source)
-    if _planned_checks(cfg, cap // tuples) * tuples > cap:
+    cfg, q = scheme.cfg, scheme.field.q
+    if _planned_checks(cfg, budget) > budget:
+        raise AuditBudgetExceeded(f"exact sweep needs more than the budget of {budget} checks")
+    e = cfg.n_users + scheme.n_source
+    # q^e >= 2^((b - 1) e) for q of b bits: a power too large to take is refused unevaluated
+    if e * (q.bit_length() - 1) >= _MAX_TUPLES.bit_length() or q**e >= _MAX_TUPLES:
         raise AuditBudgetExceeded(
-            f"exact sweep needs more than the cap of {cap} tuples; refusing to sample"
+            f"exact sweep verdicts would count {q}^{e} tuples, more than 4300 digits"
         )
-    return [_decide(scheme, tset, relay) for tset, relay in _checks(cfg)]
+    return [exact_independence_check(scheme, tset, relay) for tset, relay in _checks(cfg)]
 
 
 def infeasibility_attack(scheme: CoefficientScheme, transcript) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ import pytest
 
 from hsagg import cli
 from hsagg.cli import main
+from hsagg.fields import next_prime
 from hsagg.rates import HsaConfig
 from hsagg.schemes import build_baseline, build_scheme, import_scheme, scheme_to_json
 
@@ -382,14 +383,13 @@ def test_audit_walk_past_the_depth_limit_exit_6(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("flag", ["--budget", "--q-cap"])
-def test_audit_negative_budget_exit_2(golden_f17_file, capsys, flag):
-    assert run_cli("audit", "--scheme", golden_f17_file, "--exact", flag, "-1") == 2
+def test_audit_negative_budget_exit_2(golden_f17_file, capsys):
+    assert run_cli("audit", "--scheme", golden_f17_file, "--exact", "--budget", "-1") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {flag} must be nonnegative, got -1\n"
+    assert captured.err == "error: --budget must be nonnegative, got -1\n"
     # a zero budget is valid and too small for any audit
-    assert run_cli("audit", "--scheme", golden_f17_file, "--exact", flag, "0") == 6
+    assert run_cli("audit", "--scheme", golden_f17_file, "--exact", "--budget", "0") == 6
 
 
 def test_audit_exact_mode(tmp_path, capsys):
@@ -402,22 +402,58 @@ def test_audit_exact_mode(tmp_path, capsys):
     assert all(check["passed"] for check in report["exact_checks"])
 
 
-def test_audit_exact_cap_exit_6(golden_f17_file, capsys):
-    assert run_cli(
-        "audit", "--scheme", golden_f17_file, "--exact", "--q-cap", "1000"
-    ) == 6
+def test_audit_q_cap_is_gone_exit_2(golden_f17_file, capsys):
+    # --budget is the audit's one bound: the tuple cap is no option
+    with pytest.raises(SystemExit) as exc:
+        run_cli("audit", "--scheme", golden_f17_file, "--exact", "--q-cap", "1000")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --q-cap 1000\n")
+
+
+def test_audit_exact_under_defaults_decides_the_434_file(tmp_path, capsys):
+    # the benchmark's (4,3,4) file at (23, 2): 3,970 checks of 23^19 tuples
+    # each fit the default budget, and 10 server checks fail
+    from test_output_pins import VANDERMONDE_434
+
+    path = tmp_path / "b434.json"
+    path.write_text(json.dumps(VANDERMONDE_434))
+    assert run_cli("audit", "--scheme", str(path), "--exact") == 5
+    checks = json.loads(capsys.readouterr().out)["exact_checks"]
+    assert len(checks) == 3970
+    assert sum(not check["passed"] for check in checks) == 10
+
+
+def test_audit_exact_past_the_written_integer_limit_exit_6(tmp_path, capsys):
+    # 180 users and one column over a 25-digit prime: each verdict would
+    # count q^181 tuples, a number of 4,345 digits, more than Python 3.11+
+    # writes; the sweep refuses before any check, whatever the interpreter
+    q = next_prime(10**24)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "U": 2, "V": 90, "T": 0, "q": q,
+        "H": {"q": q, "rows": 180, "cols": 1, "data": [1] * 179 + [q - 179]},
+        "row_index": [[f"{u},{v}", 90 * (u - 1) + v - 1] for u in (1, 2) for v in range(1, 91)],
+    }))
+    assert run_cli("audit", "--scheme", str(path), "--exact") == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: exact sweep")
 
 
 def test_audit_exact_whole_sweep_budget_exit_6(tmp_path):
-    # 12,285 checks of 2^13 tuples each: every check fits the cap, the sweep does not
+    # the walk's 4,223 sets fit a budget of 5,000; the sweep's 12,285 checks do not
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({
         "U": 2, "V": 6, "T": 11, "q": 2,
         "H": {"q": 2, "rows": 12, "cols": 1, "data": [1] * 12},
         "row_index": [[f"{u},{v}", 6 * (u - 1) + v - 1] for u in (1, 2) for v in range(1, 7)],
     }))
-    proc = run_process(["-m", "hsagg.cli", "audit", "--scheme", str(path), "--exact"],
-                       tmp_path, 20)
+    proc = run_process(
+        ["-m", "hsagg.cli", "audit", "--scheme", str(path), "--exact", "--budget", "5000"],
+        tmp_path, 20,
+    )
     assert proc.returncode == 6, proc.stderr
     assert proc.stderr.count("\n") == 1 and "exact sweep" in proc.stderr
 
@@ -750,7 +786,7 @@ OPTIONS = {
     ],
     "audit": [
         ("--budget", False, 1_000_000), ("--exact", False, False), ("--pretty", False, False),
-        ("--q-cap", False, 10_000_000), ("--scheme", True, None),
+        ("--scheme", True, None),
     ],
     "attack": [
         ("--L", False, 1), ("--json", False, False), ("--pretty", False, False),
@@ -799,6 +835,8 @@ CI_ARGV = [
     ["audit", "--scheme", "s.json"],
     ["audit", "--scheme", "s.json", "--exact"],
     ["audit", "--scheme", "leaky.json", "--exact"],
+    ["audit", "--scheme", "b434.json", "--exact"],
+    ["audit", "--scheme", "s.json", "--exact", "--budget", "14"],
 ]
 
 
@@ -857,8 +895,7 @@ def test_fast_path_parses_as_argparse_does():
         ["build", "--U", "2", "--V", "2", "--T", "1", "--q", q, *extra, "--out", "s.json"]
         for q in ("-7", "0", "1") for extra in ([], ["--baseline"])
     ] + [
-        ["audit", "--scheme", "s.json", "--exact", flag, value]
-        for flag in ("--budget", "--q-cap") for value in ("-1", "0")
+        ["audit", "--scheme", "s.json", "--exact", "--budget", value] for value in ("-1", "0")
     ]
     corpus = [*_argv_in_this_file(), *_readme_argv(), *BENCH_ARGV, *CI_ARGV, *parametrized,
               [], ["bogus"], ["-h"], ["--help"], ["--bogus"], ["audit", "--sch", "s.json"]]
@@ -939,11 +976,14 @@ def test_bench_tracer_runs_an_audit(tmp_path):
     # calls, and the walk and the exact oracle read every observer's rows
     # from the condition-matrix builders, which the tracer counts: the
     # audit once per observer, and --exact once more per check, U relay
-    # checks and one server check for each of the 5 sets of at most 1 user
+    # checks and one server check for each of the 5 sets of at most 1 user;
+    # the sweep decides its 15 checks through the name the tracer wraps
     scheme = build_scheme(HsaConfig(2, 2, 1))
     (tmp_path / "scheme.json").write_text(scheme_to_json(scheme))
     tracer = ROOT / "bench" / "tracer.py"
-    for flags, relay_calls, server_calls in (([], 2, 1), (["--exact"], 12, 6)):
+    for flags, relay_calls, server_calls, exact_calls in (
+        ([], 2, 1, 0), (["--exact"], 12, 6, 15),
+    ):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"commands": [
             {"argv": ["audit", "--scheme", "scheme.json", *flags], "cwd": str(tmp_path)},
@@ -957,4 +997,5 @@ def test_bench_tracer_runs_an_audit(tmp_path):
         assert stats["security.audit"][0] == 1
         assert stats["security.relay_condition_matrix"][0] == relay_calls
         assert stats["security.server_condition_matrix"][0] == server_calls
+        assert stats["security.exact"][0] == exact_calls
         assert result["counters"]["relay.checks"] == relay_calls

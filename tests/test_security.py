@@ -667,9 +667,11 @@ def test_exact_oracle_tampered_scheme_yields_witness():
 
 
 def test_exact_oracle_cap_is_explicit():
+    # the sweep's 15 checks, 3 for each of the 5 sets, against its budget
     scheme = build_scheme(HsaConfig(2, 2, 1), q_hint=5)
-    with pytest.raises(AuditBudgetExceeded):
-        exact_independence_check(scheme, CollusionSet.of([]), cap=100)
+    with pytest.raises(AuditBudgetExceeded, match="budget of 14 checks"):
+        exact_sweep(scheme, budget=14)
+    assert len(exact_sweep(scheme, budget=15)) == 15
 
 
 def test_exact_oracle_argument_validation():
@@ -691,7 +693,7 @@ def test_one_validator_serves_every_check(golden_3x2_f17, tset, match):
     for check in (
         lambda: relay_condition_matrix(golden_3x2_f17, 1, tset),
         lambda: server_condition_matrix(golden_3x2_f17, tset),
-        lambda: exact_independence_check(golden_3x2_f17, tset, cap=0),
+        lambda: exact_independence_check(golden_3x2_f17, tset),
     ):
         with pytest.raises(ValueError, match=match):
             check()
@@ -828,7 +830,7 @@ def test_exact_sweep_matches_big_space_reference():
         expected = [
             big_space_verdict(scheme, tset, relay) for tset, relay in _checks(scheme.cfg)
         ]
-        assert exact_sweep(scheme, cap=10**60) == expected
+        assert exact_sweep(scheme) == expected
         failing += sum(not v.passed for v in expected)
     assert failing
 
