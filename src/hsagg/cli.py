@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 # The commands that run the audit or the protocol import them, so that
-# build, rates and compare load neither.
+# build and rates load neither.
 from . import rates, schemes
 from .errors import (
     DEFAULT_RANK_BUDGET,
@@ -109,12 +109,14 @@ def _parse_range(token: str, key: str) -> range:
 
 
 def cmd_rates(args) -> int:
+    shape = (args.U, args.V, args.T)
     if args.sweep:
+        if shape != (None, None, None):
+            raise ConfigurationError("--sweep replaces --U --V --T; give one or the other")
         if len(args.sweep) != 3:
             raise ConfigurationError("--sweep takes exactly U=lo..hi V=lo..hi T=lo..hi")
         ranges = [_parse_range(token, key) for token, key in zip(args.sweep, "UVT")]
     else:
-        shape = (args.U, args.V, args.T)
         if None in shape:
             raise ConfigurationError("provide --U --V --T or --sweep")
         ranges = [range(n, n + 1) for n in shape]
@@ -156,7 +158,7 @@ def cmd_simulate(args) -> int:
     scheme = _load_scheme(args.scheme)
     inputs, keys = protocol.sample_round(scheme, args.L, args.seed)
     transcript = protocol.run_round(scheme, inputs, keys)
-    observed = protocol.measure_rates(transcript)
+    observed = protocol.measure_rates(scheme, transcript)
     if args.transcript is not None:
         _write(
             args.transcript,
@@ -228,27 +230,6 @@ def cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = HsaConfig(args.U, args.V, args.T)
-    optimal = rates.optimal_source_rate(cfg)
-    baseline = rates.baseline_source_rate(cfg)
-    gap = baseline - optimal
-    _report(
-        args,
-        {
-            "U": cfg.U,
-            "V": cfg.V,
-            "T": cfg.T,
-            "optimal_R_Zsigma": optimal,
-            "baseline_R_Zsigma": baseline,
-            "gap": gap,
-        },
-        f"U={cfg.U} V={cfg.V} T={cfg.T}\noptimal_R_Zsigma={optimal}\n"
-        f"baseline_R_Zsigma={baseline}\ngap={gap}\n",
-    )
-    return EXIT_OK
-
-
 def _shape(required: bool) -> list:
     return [("--" + key, {"type": int, "required": required}) for key in "UVT"]
 
@@ -300,9 +281,6 @@ _COMMANDS = {
         ("--L", {"type": int, "default": 1}),
         ("--seed", {"type": int, "default": DEFAULT_SEED}),
         _JSON, _PRETTY,
-    ]),
-    "compare": ("optimal vs baseline source key rate", {"func": cmd_compare}, [
-        *_shape(True), _JSON, _PRETTY,
     ]),
 }
 

@@ -16,6 +16,7 @@ import random
 from collections import namedtuple
 
 from .errors import ConfigurationError, CorrectnessViolation
+from .fields import _span
 from .schemes import CoefficientScheme, KeyMaterial, derive_keys
 
 __all__ = [
@@ -108,13 +109,13 @@ def run_round(
     return RoundTranscript(inputs, tuple(keys), X, Y, decoded)
 
 
-def measure_rates(transcript: RoundTranscript) -> ObservedRates:
-    """Rates observed from message and key lengths, per input symbol."""
+def measure_rates(scheme: CoefficientScheme, transcript: RoundTranscript) -> ObservedRates:
+    """Rates per input symbol: R_X, R_Y and R_Z from the transcript's message
+    and key lengths, R_Z_sigma as rk(H), the source symbols the masks use."""
     L = transcript.inputs.L
     x_lens = {len(v) for v in transcript.X.values()}
     y_lens = {len(v) for v in transcript.Y.values()}
-    src_lens = {len(k.source) for k in transcript.keys}
-    if len(x_lens) != 1 or len(y_lens) != 1 or len(src_lens) != 1:
+    if len(x_lens) != 1 or len(y_lens) != 1:
         raise ValueError("ragged transcript")
 
     def per_symbol(total: int) -> int:
@@ -126,7 +127,7 @@ def measure_rates(transcript: RoundTranscript) -> ObservedRates:
         R_X=per_symbol(x_lens.pop()),
         R_Y=per_symbol(y_lens.pop()),
         R_Z=per_symbol(len(transcript.keys)),  # one mask symbol per position per user
-        R_Z_sigma=per_symbol(src_lens.pop() * L),
+        R_Z_sigma=len(_span(scheme.H.row_list(), scheme.field.q)),
     )
 
 

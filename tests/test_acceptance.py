@@ -111,7 +111,7 @@ def test_criterion_1_achievability_sweep(built_schemes):
     for cfg, scheme in schemes.items():
         expected = max(cfg.V + cfg.T, min(cfg.n_users - 1, cfg.U + cfg.T - 1))
         inputs, keys = sample_round(scheme, 1, seed=0)
-        observed = measure_rates(run_round(scheme, inputs, keys))
+        observed = measure_rates(scheme, run_round(scheme, inputs, keys))
         if observed != (1, 1, 1, expected):
             failures.append((cfg, observed, expected))
     elapsed = build_elapsed + (time.perf_counter() - start)
@@ -271,15 +271,15 @@ def test_criterion_6_determinant_identity_oracles():
 
 
 def test_criterion_7_baseline_gap(capsys):
-    """The comparator reproduces the key-efficiency gaps."""
+    """The rate report reproduces the key-efficiency gaps."""
     gaps = {}
     for U, V, T in [(2, 3, 1), (3, 2, 2)]:
         assert cli_main(
-            ["compare", "--U", str(U), "--V", str(V), "--T", str(T), "--json"]
+            ["rates", "--U", str(U), "--V", str(V), "--T", str(T), "--json"]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        gaps[(U, V, T)] = payload["gap"]
-        assert payload["gap"] == 1
+        [row] = json.loads(capsys.readouterr().out)
+        gaps[(U, V, T)] = row["baseline"] - row["R_Zsigma"]
+        assert gaps[(U, V, T)] == 1
 
     # U = 4, V = 3 sweep: baseline stays at 11 while the optimum grows with T,
     # so the separation shrinks from 8 to 0 without ever going negative.

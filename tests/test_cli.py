@@ -62,6 +62,16 @@ def test_rates_domain_error():
     assert run_cli("rates", "--sweep", "U=2..3") == 2
 
 
+@pytest.mark.parametrize("shape", [["--U", "9", "--V", "9", "--T", "9"], ["--T", "0"]])
+def test_rates_sweep_with_shape_exit_2(capsys, shape):
+    # --sweep replaces --U --V --T: given with any of them, it is refused,
+    # not run with the single point ignored
+    assert run_cli("rates", *shape, "--sweep", "U=2", "V=1", "T=0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --sweep")
+
+
 def test_rates_json_and_file(tmp_path, capsys):
     out = tmp_path / "rates.json"
     assert run_cli(
@@ -663,9 +673,8 @@ EXIT_STEPS = [
     (["audit", "--scheme", "s.json"], 0, None),
     (["audit", "--scheme", "s.json", "--exact"], 0, None),
     (["attack", "--scheme", "s.json", "--rounds", "3"], 0, None),
-    (["compare", "--U", "3", "--V", "2", "--T", "2"], 0, None),
     (["rates", "--U", "1", "--V", "3", "--T", "0"], 2, None),
-    (["compare", "--U", "2", "--V", "3", "--T", "3"], 3, None),
+    (["build", "--U", "2", "--V", "3", "--T", "3", "--out", "i.json"], 3, None),
     (["audit", "--scheme", "corrupt.json"], 4, None),
     (["audit", "--scheme", "leaky.json", "--exact"], 5, None),
     (["audit", "--scheme", "s.json", "--budget", "3"], 6, None),
@@ -697,7 +706,7 @@ def test_closed_pipe_exits_as_a_normal_exit_does(tmp_path):
     # stdout's read end is closed, so the flush before the hard exit fails;
     # the process then exits as sys.exit(main()) does: 120, with Python's
     # report of the failed flush on stderr
-    argv = ["compare", "--U", "3", "--V", "2", "--T", "2"]
+    argv = ["rates", "--U", "3", "--V", "2", "--T", "2"]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     results = []
@@ -731,7 +740,6 @@ PRETTY_ARGV = {
                  "--json"],
     "audit": ["audit", "--scheme", "leaky.json"],
     "attack": ["attack", "--scheme", "f3.json", "--rounds", "3", "--L", "2", "--json"],
-    "compare": ["compare", "--U", "3", "--V", "2", "--T", "2", "--json"],
 }
 
 
@@ -791,10 +799,6 @@ OPTIONS = {
     "attack": [
         ("--L", False, 1), ("--json", False, False), ("--pretty", False, False),
         ("--rounds", False, 100), ("--scheme", True, None), ("--seed", False, 1234),
-    ],
-    "compare": [
-        ("--T", True, None), ("--U", True, None), ("--V", True, None),
-        ("--json", False, False), ("--pretty", False, False),
     ],
 }
 
@@ -933,28 +937,6 @@ def test_declined_argv_goes_to_argparse(golden_f17_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: hsa audit")
     assert err.endswith("error: the following arguments are required: --scheme\n")
-
-
-# ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
-
-def test_compare_known_gaps(capsys):
-    assert run_cli("compare", "--U", "3", "--V", "2", "--T", "2", "--json") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert (payload["optimal_R_Zsigma"], payload["baseline_R_Zsigma"], payload["gap"]) == (4, 5, 1)
-
-    assert run_cli("compare", "--U", "2", "--V", "3", "--T", "1") == 0
-    out = capsys.readouterr().out
-    assert "gap=1" in out
-
-    assert run_cli("compare", "--U", "2", "--V", "2", "--T", "1") == 0
-    assert "gap=0" in capsys.readouterr().out
-
-
-def test_compare_infeasible_exit_3(capsys):
-    assert run_cli("compare", "--U", "2", "--V", "3", "--T", "3") == 3
 
 
 # ---------------------------------------------------------------------------

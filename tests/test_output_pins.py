@@ -1,6 +1,6 @@
 """Byte pins of canonical outputs: the rate sweep, audit reports, the
-protocol's simulate report, transcript and attack report, and the build and
-compare reports, in text and in JSON.
+protocol's simulate report, transcript and attack report, and the build
+reports, in text and in JSON.
 
 The scheme inputs are fixed documents, not `hsa build` output, so a change
 to the build search leaves these pins alone.  A digest changes only when the
@@ -169,7 +169,6 @@ def test_protocol_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, written,
 # relative --out is what the build report repeats.  The build lines follow
 # the build search, so a change to it moves them.
 BUILD_221 = ["build", "--U", "2", "--V", "2", "--T", "1", "--out", "s.json"]
-COMPARE_434 = ["compare", "--U", "4", "--V", "3", "--T", "4"]
 
 REPORT_PINS = [
     (BUILD_221, None, "77c96e8806be46d2967be29023fb0671788023ab8926890cb4e6b52d73e6e9c6"),
@@ -179,9 +178,6 @@ REPORT_PINS = [
      "b1a12ede96e3af9cd139beab7bf64f15cdd29a7fbe1e4d3ce1a0870c908753f9"),
     (["build", "--U", "2", "--V", "1", "--T", "1", "--force-infeasible", "--out", "f.json"], None,
      "aa73127f172c05672dbfcdfefd162707e9861b46e1679fab3258c37775c733a3"),
-    (COMPARE_434, None, "52273ca02d283ad8b7d241a4486f166ee9566f960cb6b485ba737740d3396969"),
-    (COMPARE_434 + ["--json", "--pretty"], None,
-     "9a980fd15a95e516fbab272fdef9121805d55fd62d91bcaf2ce3289e213e6400"),
     (SWEEP + ["--out", "rates.csv"], "rates.csv", RATES_CSV),
 ]
 
@@ -189,8 +185,7 @@ REPORT_PINS = [
 @pytest.mark.parametrize(
     "argv, written, digest",
     REPORT_PINS,
-    ids=["build-text", "build-json", "build-baseline-text", "build-forced-text",
-         "compare-text", "compare-json-pretty", "rates-out"],
+    ids=["build-text", "build-json", "build-baseline-text", "build-forced-text", "rates-out"],
 )
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, written, digest):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Round simulation: masking, aggregation, decoding, observed rates."""
 
 import itertools
+import json
 import math
 
 import pytest
@@ -19,6 +20,8 @@ from hsagg.schemes import (
     build_baseline,
     build_scheme,
     derive_keys,
+    import_scheme,
+    scheme_to_json,
 )
 
 
@@ -126,24 +129,43 @@ def test_run_round_detects_corrupt_scheme(golden_2x3_f3):
 def test_measure_rates_optimal_and_baseline(golden_2x3_f3):
     inputs, keys = sample_round(golden_2x3_f3, 1, 3)
     t = run_round(golden_2x3_f3, inputs, keys)
-    assert measure_rates(t) == (1, 1, 1, 4)
+    assert measure_rates(golden_2x3_f3, t) == (1, 1, 1, 4)
 
     baseline = build_baseline(HsaConfig(2, 3, 1))
     inputs, keys = sample_round(baseline, 1, 3)
     t = run_round(baseline, inputs, keys)
-    assert measure_rates(t) == (1, 1, 1, 5)
+    assert measure_rates(baseline, t) == (1, 1, 1, 5)
 
 
 def test_measure_rates_scale_invariant(golden_2x3_f3):
     inputs, keys = sample_round(golden_2x3_f3, 4, 3)
     t = run_round(golden_2x3_f3, inputs, keys)
-    assert measure_rates(t) == (1, 1, 1, 4)
+    assert measure_rates(golden_2x3_f3, t) == (1, 1, 1, 4)
 
 
 def test_built_scheme_round(golden_2x3_f3):
     scheme = build_scheme(HsaConfig(3, 2, 2))
     inputs, keys = sample_round(scheme, 2, 11)
     t = run_round(scheme, inputs, keys)
-    assert measure_rates(t) == (1, 1, 1, 4)
+    assert measure_rates(scheme, t) == (1, 1, 1, 4)
     assert all(len(v) == 2 for v in t.X.values())
     assert all(len(v) == 2 for v in t.Y.values())
+
+
+def test_measure_rates_reads_the_rank_of_h():
+    # a zero key column adds a source symbol that no mask uses: the padded
+    # (2,2,1), imported as an external scheme, still passes its audit, and
+    # its source key rate is rk(H) = 3, the optimum, not its 4 columns
+    from hsagg.security import audit
+
+    obj = json.loads(scheme_to_json(build_scheme(HsaConfig(2, 2, 1), q_hint=5)))
+    for key in ("kind", "elements", "gamma"):
+        del obj[key]
+    H = obj["H"]
+    rows = [H["data"][i:i + H["cols"]] for i in range(0, len(H["data"]), H["cols"])]
+    H["data"] = [x for row in rows for x in [*row, 0]]
+    H["cols"] += 1
+    padded = import_scheme(obj)
+    assert padded.n_source == 4 and audit(padded).passed
+    inputs, keys = sample_round(padded, 3, 5)
+    assert measure_rates(padded, run_round(padded, inputs, keys)) == (1, 1, 1, 3)

@@ -859,6 +859,37 @@ def test_audit_pass_implies_oracle_pass_small():
     assert exact_independence_check(scheme, CollusionSet.of([])).passed
 
 
+def test_rank_audit_verdict_is_the_exact_verdict():
+    # On zero-sum schemes the audit's pass/fail is the definitional one.  No
+    # check fails the exact test only.  A check that fails the rank test only
+    # has dependent colluder rows h_C, so some colluder c has h_c in the span
+    # of the others' rows: the relay of c's cluster, colluding with C - {c},
+    # reads c's message W_c + h_c.N and knows h_c.N, and its exact check fails.
+    rng = random.Random(7)
+    schemes, both, rank_only = 0, 0, 0
+    while schemes < 200:
+        scheme = _random_scheme(rng)
+        if any(scheme.H.column_sums()):
+            continue
+        schemes += 1
+        report = audit(scheme)
+        exact = {(v.relay, v.collusion): v.passed for v in exact_sweep(scheme)}
+        assert report.passed == all(exact.values())
+        failing = {(v.relay, v.collusion) for v in report.violations}
+        assert {check for check, passed in exact.items() if not passed} <= failing
+        for relay, tset in failing:
+            if not exact[relay, tset]:
+                both += 1
+                continue
+            rank_only += 1
+            rows = [scheme.coefficient_row(*c) for c in tset]
+            assert len(_span(rows, scheme.field.q)) < len(tset)
+            assert any(
+                not exact[c[0], CollusionSet(m for m in tset if m != c)] for c in tset
+            )
+    assert both > 0 and rank_only > 0
+
+
 def _shannon_conditional_mi(scheme, tset, relay=None):
     """Float-entropy oracle for I(messages; inputs | conditioning); the
     messages are relay ``relay``'s, or the server's when ``relay`` is None.

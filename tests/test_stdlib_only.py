@@ -65,11 +65,8 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     built = _loaded_by(["build", "--U", "4", "--V", "4", "--T", "6", "--out", "s.json"], tmp_path)
     assert "hsagg.schemes" in built
     assert {"hsagg.security", "hsagg.protocol", "random"} & built == set()
-    for argv in (["rates", "--U", "4", "--V", "4", "--T", "6"],
-                 ["compare", "--U", "4", "--V", "4", "--T", "6"]):
-        loaded = _loaded_by(argv, tmp_path)
-        assert {"hsagg.security", "hsagg.protocol"} & loaded == set()
-        assert unused & loaded == set()
+    rated = _loaded_by(["rates", "--U", "4", "--V", "4", "--T", "6"], tmp_path)
+    assert {"hsagg.security", "hsagg.protocol"} & rated == set()
     simulated = _loaded_by(["simulate", "--scheme", "s.json"], tmp_path)
     assert "hsagg.protocol" in simulated and "hsagg.security" not in simulated
     # (3,2,3) passes its audit, which runs no protocol
@@ -81,7 +78,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     _loaded_by(["build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", "e.json"],
                tmp_path)
     exact = _loaded_by(["audit", "--scheme", "e.json", "--exact"], tmp_path)
-    for loaded in (built, simulated, audited, exact):
+    for loaded in (built, rated, simulated, audited, exact):
         assert unused & loaded == set()
 
 
@@ -97,4 +94,4 @@ def test_help_is_argparse_help(monkeypatch):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == cli._build_parser().format_help()
-    assert proc.stdout.startswith("usage: hsa [-h] {rates,build,simulate,audit,attack,compare}")
+    assert proc.stdout.startswith("usage: hsa [-h] {rates,build,simulate,audit,attack} ...")
