@@ -91,17 +91,20 @@ def run_round(
     if any(len(k.source) != scheme.n_source for k in keys):
         raise ValueError("key material does not match the scheme's source size")
 
+    # column-wise: each vector is read once, and each sum is one zip over
+    # the vectors it adds, a column per symbol position
+    masks = [k.individual for k in keys]
     X = {
-        user: tuple((inputs.W[user][pos] + keys[pos].individual[user]) % q for pos in range(L))
+        user: tuple((w + z[user]) % q for w, z in zip(inputs.W[user], masks))
         for user in users
     }
     Y = {
-        u: tuple(sum(X[(u, v)][pos] for v in range(1, cfg.V + 1)) % q for pos in range(L))
+        u: tuple(sum(col) % q for col in zip(*(X[(u, v)] for v in range(1, cfg.V + 1))))
         for u in range(1, cfg.U + 1)
     }
-    decoded = tuple(sum(Y[u][pos] for u in Y) % q for pos in range(L))
+    decoded = tuple(sum(col) % q for col in zip(*Y.values()))
 
-    truth = tuple(sum(inputs.W[user][pos] for user in users) % q for pos in range(L))
+    truth = tuple(sum(col) % q for col in zip(*(inputs.W[user] for user in users)))
     if decoded != truth:
         raise CorrectnessViolation(
             f"decoded sum {decoded} != true input sum {truth}; scheme is corrupt"
@@ -110,9 +113,12 @@ def run_round(
 
 
 def measure_rates(scheme: CoefficientScheme, transcript: RoundTranscript) -> ObservedRates:
-    """Rates per input symbol: R_X, R_Y and R_Z from the transcript's message
-    and key lengths, R_Z_sigma as rk(H), the source symbols the masks use."""
+    """Rates per input symbol: R_X and R_Y from the transcript's message
+    lengths, R_Z as the largest rk(h_u) over the users' coefficient rows (the
+    source combinations one user's mask symbol carries) and R_Z_sigma as
+    rk(H), the source symbols the masks use."""
     L = transcript.inputs.L
+    q = scheme.field.q
     x_lens = {len(v) for v in transcript.X.values()}
     y_lens = {len(v) for v in transcript.Y.values()}
     if len(x_lens) != 1 or len(y_lens) != 1:
@@ -126,8 +132,8 @@ def measure_rates(scheme: CoefficientScheme, transcript: RoundTranscript) -> Obs
     return ObservedRates(
         R_X=per_symbol(x_lens.pop()),
         R_Y=per_symbol(y_lens.pop()),
-        R_Z=per_symbol(len(transcript.keys)),  # one mask symbol per position per user
-        R_Z_sigma=len(_span(scheme.H.row_list(), scheme.field.q)),
+        R_Z=max(len(_span([scheme.coefficient_row(*user)], q)) for user in scheme.cfg.users()),
+        R_Z_sigma=len(_span(scheme.H.row_list(), q)),
     )
 
 

@@ -61,6 +61,29 @@ Two layers of checking:
   the four ranks over F_q^(UV + n) itself, which the tests compare this
   oracle with.
 
+* One verdict.  On every scheme the audit accepts, the audit passes iff
+  every exact check does; only the violation lists differ.  The audit
+  refuses a scheme whose columns do not sum to zero, so G = 0, and the
+  total sum's extra rank in rk[C] cancels against rk[A;C].  By the four
+  ranks above, a check then passes exactly iff
+  rk(rows) - rk(h_C) = rows - |C|, and passes the rank test iff
+  rk(rows) = rows.
+
+  - Every exact failure is a rank failure.  When h_C is independent,
+    rk(h_C) = |C| and the two conditions are the same equation.  When h_C
+    is dependent, rk(rows) <= rows - (|C| - rk(h_C)) < rows, and the
+    rank check fails anyway.
+  - A check that fails the rank test only therefore has dependent h_C:
+    some colluder c has h_c in span(h_{C - {c}}).  The relay of c's
+    cluster, colluding with C - {c}, reads c's message W_c + h_c N, and
+    its colluders' masks give h_c N, so it learns W_c, uniform and
+    independent of what they hold.  That relay's exact check at C - {c},
+    a smaller set the audit also makes, fails.
+
+  So the scheme fails the rank audit iff some exact check fails.
+  ``test_rank_audit_verdict_is_the_exact_verdict`` checks both parts on
+  seeded random zero-sum schemes.
+
 The attack below demonstrates the infeasibility boundary: a relay that
 colludes with every inter-cluster user reconstructs its own cluster's
 input sum from any zero-row-sum linear scheme.
@@ -571,24 +594,22 @@ def infeasibility_attack(scheme: CoefficientScheme, transcript) -> tuple[int, ..
     """
     cfg = scheme.cfg
     q = scheme.field.q
-    L = transcript.inputs.L
     W = transcript.inputs.W
+    colluders = [user for user in cfg.users() if user[0] != 1]
+    masks = [k.individual for k in transcript.keys]
 
-    recovered = []
-    for pos in range(L):
-        key = transcript.keys[pos]
-        total = transcript.Y[1][pos]
-        known_inputs = 0
-        for u in range(2, cfg.U + 1):
-            for v in range(1, cfg.V + 1):
-                total = (total + W[(u, v)][pos] + key.individual[(u, v)]) % q
-                known_inputs = (known_inputs + W[(u, v)][pos]) % q
-        recovered.append((total - known_inputs) % q)
-
-    truth = tuple(
-        sum(W[(1, v)][pos] for v in range(1, cfg.V + 1)) % q for pos in range(L)
+    # column-wise, as in run_round: per symbol position, relay 1's message
+    # plus the colluders' messages W + Z, less their known inputs W
+    messages = [tuple(w + z[c] for w, z in zip(W[c], masks)) for c in colluders]
+    recovered = tuple(
+        (y + sum(sent) - sum(known)) % q
+        for y, sent, known in zip(
+            transcript.Y[1], zip(*messages), zip(*(W[c] for c in colluders))
+        )
     )
-    if tuple(recovered) != truth:
+
+    truth = tuple(sum(col) % q for col in zip(*(W[(1, v)] for v in range(1, cfg.V + 1))))
+    if recovered != truth:
         raise CorrectnessViolation(
             "attack reconstruction mismatch; transcript does not come from a "
             "zero-row-sum linear scheme"

@@ -1,4 +1,5 @@
-"""Two references for the exact independence oracle.
+"""References that the runtime is held to: two for the exact independence
+oracle, and the round as first written.
 
 ``hsagg.security`` decides each check from four ranks, by the identity
 I(A; B | C) = (rk[A;C] + rk[B;C] - rk[A;B;C] - rk[C]) log q, and reads
@@ -10,14 +11,48 @@ the support.  ``big_space_verdict`` takes the same four ranks over
 F_q^(UV + n) itself, from every observation written out as a row, so it
 reaches schemes far past the enumerator's.  The tests hold each runtime
 verdict, witness included, to the verdicts they give.
+
+``_reference_run_round`` is ``protocol.run_round`` as it was before its
+sums went column-wise: every sum one symbol position at a time.  The tests
+hold each runtime transcript, and each CorrectnessViolation message, to it.
+``_random_scheme`` draws the seeded random schemes that both kinds of
+reference are compared on.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
-from hsagg.fields import _span
+from hsagg.errors import CorrectnessViolation
+from hsagg.fields import FieldSpec, FqMatrix, _span
+from hsagg.protocol import RoundTranscript
+from hsagg.rates import HsaConfig
+from hsagg.schemes import CoefficientScheme, SchemeParams
 from hsagg.security import IndependenceVerdict
+
+
+def _random_scheme(rng: random.Random) -> CoefficientScheme:
+    """A random external scheme: duplicated rows, shuffled row_index, T up to
+    UV + 1, and in about half the cases columns that do not sum to zero."""
+    U, V = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (2, 4), (4, 2)])
+    q = rng.choice([2, 3, 5, 7])
+    cfg = HsaConfig(U, V, rng.randrange(U * V + 2))
+    n = rng.randint(1, U * V)
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(U * V)]
+    for _ in range(rng.randrange(3)):
+        rows[rng.randrange(U * V)] = list(rows[rng.randrange(U * V)])
+    if rng.random() < 0.5:
+        rows[-1] = [(x - sum(col)) % q for x, col in zip(rows[-1], zip(*rows))]
+    order = list(range(U * V))
+    rng.shuffle(order)
+    field = FieldSpec.for_prime(q)
+    return CoefficientScheme(
+        SchemeParams(cfg, None),
+        FqMatrix.from_rows(field, rows),
+        dict(zip(cfg.users(), order)),
+        "external",
+    )
 
 
 def _observations(scheme, tset, relay):
@@ -111,3 +146,36 @@ def big_space_verdict(scheme, tset, relay=None) -> IndependenceVerdict:
     )
     counts = tuple(q ** (dim - r) for r in ranks)  # N_abc, N_c, N_ac, N_bc
     return IndependenceVerdict(False, relay, tset, tuples, witness=cell + counts)
+
+
+def _reference_run_round(scheme, inputs, keys):
+    """Execute one round and decode; a decode mismatch marks a corrupt scheme."""
+    cfg = scheme.cfg
+    q = scheme.field.q
+    L = inputs.L
+    users = cfg.users()
+    if set(inputs.W) != set(users):
+        raise ValueError("inputs do not cover the U x V user grid")
+    if any(len(inputs.W[user]) != L for user in users):
+        raise ValueError(f"every input vector must have length L = {L}")
+    if len(keys) != L:
+        raise ValueError(f"need one KeyMaterial per symbol position: {len(keys)} != {L}")
+    if any(len(k.source) != scheme.n_source for k in keys):
+        raise ValueError("key material does not match the scheme's source size")
+
+    X = {
+        user: tuple((inputs.W[user][pos] + keys[pos].individual[user]) % q for pos in range(L))
+        for user in users
+    }
+    Y = {
+        u: tuple(sum(X[(u, v)][pos] for v in range(1, cfg.V + 1)) % q for pos in range(L))
+        for u in range(1, cfg.U + 1)
+    }
+    decoded = tuple(sum(Y[u][pos] for u in Y) % q for pos in range(L))
+
+    truth = tuple(sum(inputs.W[user][pos] for user in users) % q for pos in range(L))
+    if decoded != truth:
+        raise CorrectnessViolation(
+            f"decoded sum {decoded} != true input sum {truth}; scheme is corrupt"
+        )
+    return RoundTranscript(inputs, tuple(keys), X, Y, decoded)

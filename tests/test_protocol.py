@@ -3,12 +3,14 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 
 from hsagg.errors import CorrectnessViolation
 from hsagg.fields import FqMatrix
 from hsagg.protocol import (
+    ObservedRates,
     RoundInputs,
     measure_rates,
     run_round,
@@ -23,6 +25,9 @@ from hsagg.schemes import (
     import_scheme,
     scheme_to_json,
 )
+from hsagg.security import infeasibility_attack
+
+from oracles import _random_scheme, _reference_run_round
 
 
 def test_sample_round_deterministic(golden_2x3_f3):
@@ -126,6 +131,37 @@ def test_run_round_detects_corrupt_scheme(golden_2x3_f3):
         run_round(corrupt, RoundInputs(W, 1), keys)
 
 
+def test_run_round_equals_the_per_position_reference(golden_2x3_f3, golden_3x2_f17):
+    # the column-wise round against the per-position one it replaced, on
+    # seeded random schemes (about half without zero column sums) and the
+    # golden ones: equal transcripts, or the same CorrectnessViolation
+    # message from both; the attack, column-wise too, recovers cluster 1's
+    # sum from every round that decodes
+    rng = random.Random(20261021)
+    schemes = [golden_2x3_f3, golden_3x2_f17] + [_random_scheme(rng) for _ in range(60)]
+    decoded, refused = 0, 0
+    for seed, scheme in enumerate(schemes):
+        q, V = scheme.field.q, scheme.cfg.V
+        for L in (1, 2, 17):
+            inputs, keys = sample_round(scheme, L, seed)
+            try:
+                expected = _reference_run_round(scheme, inputs, keys)
+            except CorrectnessViolation as reference:
+                refused += 1
+                with pytest.raises(CorrectnessViolation) as raised:
+                    run_round(scheme, inputs, keys)
+                assert str(raised.value) == str(reference)
+                continue
+            decoded += 1
+            t = run_round(scheme, inputs, keys)
+            assert t == expected
+            cluster_1 = tuple(
+                sum(inputs.W[(1, v)][pos] for v in range(1, V + 1)) % q for pos in range(L)
+            )
+            assert infeasibility_attack(scheme, t) == cluster_1
+    assert decoded > 0 and refused > 0
+
+
 def test_measure_rates_optimal_and_baseline(golden_2x3_f3):
     inputs, keys = sample_round(golden_2x3_f3, 1, 3)
     t = run_round(golden_2x3_f3, inputs, keys)
@@ -169,3 +205,16 @@ def test_measure_rates_reads_the_rank_of_h():
     assert padded.n_source == 4 and audit(padded).passed
     inputs, keys = sample_round(padded, 3, 5)
     assert measure_rates(padded, run_round(padded, inputs, keys)) == (1, 1, 1, 3)
+
+
+def test_measure_rates_reads_the_rank_of_each_users_row(golden_2x3_f3):
+    # R_Z is the largest rk(h_u): an all-zero H masks nothing, so both key
+    # rates read 0 while each message still carries one symbol per input symbol
+    zero = CoefficientScheme(
+        golden_2x3_f3.params,
+        FqMatrix(6, 4, (0,) * 24, golden_2x3_f3.field),
+        golden_2x3_f3.row_index,
+        "external",
+    )
+    inputs, keys = sample_round(zero, 3, 5)
+    assert measure_rates(zero, run_round(zero, inputs, keys)) == ObservedRates(1, 1, 0, 0)

@@ -43,7 +43,7 @@ from hsagg.security import (
 )
 
 from conftest import elim_rank
-from oracles import _observations, _reference_exact_check, big_space_verdict
+from oracles import _observations, _random_scheme, _reference_exact_check, big_space_verdict
 
 
 def _with_collusion_budget(scheme: CoefficientScheme, T: int) -> CoefficientScheme:
@@ -258,29 +258,6 @@ def test_audit_budget_is_explicit(golden_3x2_f17):
 def test_audit_json_shape(golden_2x3_f3):
     obj = audit(golden_2x3_f3).to_json_obj()
     assert set(obj) == {"relay_ok", "server_ok", "checks_performed", "violations"}
-
-
-def _random_scheme(rng: random.Random) -> CoefficientScheme:
-    """A random external scheme: duplicated rows, shuffled row_index, T up to
-    UV + 1, and in about half the cases columns that do not sum to zero."""
-    U, V = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (2, 4), (4, 2)])
-    q = rng.choice([2, 3, 5, 7])
-    cfg = HsaConfig(U, V, rng.randrange(U * V + 2))
-    n = rng.randint(1, U * V)
-    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(U * V)]
-    for _ in range(rng.randrange(3)):
-        rows[rng.randrange(U * V)] = list(rows[rng.randrange(U * V)])
-    if rng.random() < 0.5:
-        rows[-1] = [(x - sum(col)) % q for x, col in zip(rows[-1], zip(*rows))]
-    order = list(range(U * V))
-    rng.shuffle(order)
-    field = FieldSpec.for_prime(q)
-    return CoefficientScheme(
-        SchemeParams(cfg, None),
-        FqMatrix.from_rows(field, rows),
-        dict(zip(cfg.users(), order)),
-        "external",
-    )
 
 
 def test_audit_walk_matches_condition_matrices(golden_3x2_f17):
