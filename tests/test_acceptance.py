@@ -334,3 +334,37 @@ def test_criterion_8_audit_soundness_cross_check(exact_security_suite):
         f"audit and exact oracle agree on {len(agreements)} configurations, "
         f"clean and tampered",
     )
+
+
+def test_criterion_9_converse_on_every_built_scheme(built_schemes):
+    """Each built scheme fails its audit at the first level the converse rules out."""
+    schemes, _ = built_schemes
+    start = time.perf_counter()
+    probed = {}
+    for cfg, scheme in schemes.items():
+        # the smallest feasible T' > T whose optimum needs more than n symbols
+        U, V, T = cfg
+        above = [t for t in range(T + 1, (U - 1) * V)
+                 if optimal_source_rate(HsaConfig(U, V, t)) > scheme.n_source]
+        if not above:
+            continue
+        # the same H and row index, audited at (U, V, T')
+        raised = HsaConfig(U, V, above[0])
+        report = audit(scheme._replace(params=scheme.params._replace(cfg=raised)))
+        probed[cfg] = (raised.T, report)
+    elapsed = time.perf_counter() - start
+    failing = [cfg for cfg, (_, report) in probed.items() if not report.passed]
+    relay = sum(not report.relay_ok for _, report in probed.values())
+    ok = (
+        len(probed) == 53
+        and all(t == cfg.T + 1 for cfg, (t, _) in probed.items())
+        and len(failing) == len(probed)
+    )
+    _report(
+        9,
+        ok,
+        f"{len(probed)} of {len(schemes)} built schemes have a feasible T' with "
+        f"R*(U,V,T') > n_source, each T' = T + 1; {len(failing)} fail their audit there "
+        f"({relay} with relay violations) in {elapsed:.2f}s",
+    )
+    assert ok

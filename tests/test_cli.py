@@ -51,7 +51,7 @@ def test_rates_single_row(capsys):
 
 
 def test_rates_sweep_grid(capsys):
-    assert run_cli("rates", "--sweep", "U=2..4", "V=1..3", "T=0..6") == 0
+    assert run_cli("rates", "--U", "2..4", "--V", "1..3", "--T", "0..6") == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 + 3 * 3 * 7
     assert lines[0].startswith("U,V,T,feasible")
@@ -59,17 +59,74 @@ def test_rates_sweep_grid(capsys):
 
 def test_rates_domain_error():
     assert run_cli("rates", "--U", "1", "--V", "3", "--T", "0") == 2
-    assert run_cli("rates", "--sweep", "U=2..3") == 2
+    assert run_cli("rates", "--U", "1..3", "--V", "3", "--T", "0") == 2
+
+
+def test_rates_takes_a_point_or_a_range_per_option(capsys):
+    # each of --U --V --T is N or lo..hi: a mixed line lists the points it spans
+    assert run_cli("rates", "--U", "4", "--V", "3", "--T", "0..8") == 0
+    grid = capsys.readouterr().out.splitlines()
+    points = []
+    for T in range(9):
+        assert run_cli("rates", "--U", "4", "--V", "3", "--T", str(T)) == 0
+        points += capsys.readouterr().out.splitlines()[1:]
+    assert grid[1:] == points
+    # a malformed or empty range is argparse's error, never read as a point
+    for token in ("2..", "..3", "2..3..4", "2.5", "5..2"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rates", "--U", "4", "--V", "3", "--T", token)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hsa rates")
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"hsa rates: error: argument --T: invalid _int_range value: '{token}'"
+        ]
 
 
 @pytest.mark.parametrize("shape", [["--U", "9", "--V", "9", "--T", "9"], ["--T", "0"]])
 def test_rates_sweep_with_shape_exit_2(capsys, shape):
-    # --sweep replaces --U --V --T: given with any of them, it is refused,
-    # not run with the single point ignored
-    assert run_cli("rates", *shape, "--sweep", "U=2", "V=1", "T=0") == 2
+    # --sweep is gone: given with all or some of --U --V --T it is argparse's
+    # usage error, not run with the sweep ignored
+    with pytest.raises(SystemExit) as exc:
+        run_cli("rates", *shape, "--sweep", "U=2", "V=1", "T=0")
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --sweep")
+    assert captured.err.startswith("usage: hsa")
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        "hsa: error: unrecognized arguments: --sweep U=2 V=1 T=0" if len(shape) == 6
+        else "hsa rates: error: the following arguments are required: --U, --V"
+    ]
+
+
+@pytest.mark.parametrize("shape", [
+    ["--U", "2..1001", "--V", "1..1000", "--T", "0..1"],  # 2·10^6 rows
+    ["--U", "2..1" + "0" * 30, "--V", "1", "--T", "0"],  # more rows than sys.maxsize
+    # a row count of about 12,000 digits, more than Python writes
+    ["--U", "2.." + "9" * 4000, "--V", "1.." + "9" * 4000, "--T", "0.." + "9" * 4000],
+])
+def test_rates_grid_over_the_row_limit_exit_6(tmp_path, capsys, shape):
+    # refused from the range bounds, before any row is listed
+    out = tmp_path / "rates.csv"
+    for extra in ([], ["--out", str(out)]):
+        start = time.perf_counter()
+        assert run_cli("rates", *shape, *extra) == 6
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate grid has more than the limit of 1000000 rows\n"
+    assert not out.exists()
+
+
+def test_rates_grid_at_the_row_limit_runs(monkeypatch, capsys):
+    # 10^6 rows reach the table, one more row does not
+    listed = []
+    monkeypatch.setattr(cli.rates, "rate_table", lambda *spans: listed.append(spans) or [])
+    assert run_cli("rates", "--U", "2..1001", "--V", "1..1000", "--T", "0") == 0
+    assert listed == [(range(2, 1002), range(1, 1001), range(0, 1))]
+    assert run_cli("rates", "--U", "2..1000002", "--V", "1", "--T", "0") == 6
+    assert len(listed) == 1
 
 
 def test_rates_json_and_file(tmp_path, capsys):
@@ -734,7 +791,7 @@ def test_closed_pipe_exits_as_a_normal_exit_does(tmp_path):
 
 
 PRETTY_ARGV = {
-    "rates": ["rates", "--sweep", "U=2..3", "V=1..2", "T=0..2", "--json"],
+    "rates": ["rates", "--U", "2..3", "--V", "1..2", "--T", "0..2", "--json"],
     "build": ["build", "--U", "2", "--V", "3", "--T", "1", "--out", "s.json", "--json"],
     "simulate": ["simulate", "--scheme", "f3.json", "--L", "3", "--transcript", "t.json",
                  "--json"],
@@ -778,9 +835,8 @@ def test_pretty_output_parses_to_the_plain_output(
 # every subcommand's options, sorted, each as (option strings, required, default)
 OPTIONS = {
     "rates": [
-        ("--T", False, None), ("--U", False, None), ("--V", False, None),
+        ("--T", True, None), ("--U", True, None), ("--V", True, None),
         ("--json", False, False), ("--out", False, None), ("--pretty", False, False),
-        ("--sweep", False, None),
     ],
     "build": [
         ("--T", True, None), ("--U", True, None), ("--V", True, None),
@@ -831,6 +887,8 @@ BENCH_ARGV = [
 ]
 CI_ARGV = [
     ["rates", "--U", "2", "--V", "3", "--T", "1"],
+    ["rates", "--U", "2..5", "--V", "1..4", "--T", "0..12"],
+    ["rates", "--U", "2..1001", "--V", "1..1000", "--T", "0..1"],
     ["build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", "s.json"],
     ["build", "--U", "4", "--V", "4", "--T", "6", "--out", "b.json", "--json"],
     ["build", "--U", "6", "--V", "3", "--T", "5", "--q", "101", "--out", "b.json", "--json"],

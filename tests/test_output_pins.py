@@ -84,14 +84,14 @@ VANDERMONDE_635 = _vandermonde(6, 3, 5, 103, 8)
 # (2, 2, 1) at (5, 2): 15 exact checks of 5^7 = 78,125 tuples, all passing
 VANDERMONDE_221 = _vandermonde(2, 2, 1, 5, 2)
 
-SWEEP = ["rates", "--sweep", "U=2..5", "V=1..4", "T=0..12"]
+SWEEP = ["rates", "--U", "2..5", "--V", "1..4", "--T", "0..12"]
 # on stdout and in the file --out writes alike
 RATES_CSV = "fa79e8d55c2521ff4d7e016a0aa1879648f208b3a44018362f2f06e728f093d5"
+RATES_JSON = "fe0f7b4ae69b380e253e517a333503d8a1d1edcc520e49b0c7e2dfe02ffb8534"
 
 PINS = [
     (SWEEP, None, 0, RATES_CSV),
-    (SWEEP + ["--json"], None, 0,
-     "fe0f7b4ae69b380e253e517a333503d8a1d1edcc520e49b0c7e2dfe02ffb8534"),
+    (SWEEP + ["--json"], None, 0, RATES_JSON),
     (["audit"], CLEAN, 0, "b35df772f67bea87303d68ed08555941b64d1dde4a2f68e5e49bfb5790165dab"),
     (["audit", "--exact"], CLEAN, 0,
      "3d84b5d719fc3bef873a648699bf88868d879dba02ad02dd74dca8ae581c54a4"),
@@ -179,13 +179,15 @@ REPORT_PINS = [
     (["build", "--U", "2", "--V", "1", "--T", "1", "--force-infeasible", "--out", "f.json"], None,
      "aa73127f172c05672dbfcdfefd162707e9861b46e1679fab3258c37775c733a3"),
     (SWEEP + ["--out", "rates.csv"], "rates.csv", RATES_CSV),
+    (SWEEP + ["--json", "--out", "rates.json"], "rates.json", RATES_JSON),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, written, digest",
     REPORT_PINS,
-    ids=["build-text", "build-json", "build-baseline-text", "build-forced-text", "rates-out"],
+    ids=["build-text", "build-json", "build-baseline-text", "build-forced-text", "rates-out",
+         "rates-json-out"],
 )
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, written, digest):
     monkeypatch.chdir(tmp_path)

@@ -59,14 +59,16 @@ def _loaded_by(argv, cwd):
 def test_commands_load_only_the_modules_they_run(tmp_path):
     # the package resolves its names lazily and the CLI imports the audit and
     # the protocol inside the commands that call them; the audit needs no
-    # protocol.  A well-formed command line is parsed without argparse, and
-    # no command reads or writes its files through pathlib.
+    # protocol.  A well-formed command line, a rate grid included, is parsed
+    # without argparse, and no command reads or writes its files through
+    # pathlib.
     unused = {"argparse", "gettext", "locale", "pathlib"}
     built = _loaded_by(["build", "--U", "4", "--V", "4", "--T", "6", "--out", "s.json"], tmp_path)
     assert "hsagg.schemes" in built
     assert {"hsagg.security", "hsagg.protocol", "random"} & built == set()
     rated = _loaded_by(["rates", "--U", "4", "--V", "4", "--T", "6"], tmp_path)
     assert {"hsagg.security", "hsagg.protocol"} & rated == set()
+    grid = _loaded_by(["rates", "--U", "2..4", "--V", "1..3", "--T", "0..6"], tmp_path)
     simulated = _loaded_by(["simulate", "--scheme", "s.json"], tmp_path)
     assert "hsagg.protocol" in simulated and "hsagg.security" not in simulated
     # (3,2,3) passes its audit, which runs no protocol
@@ -78,7 +80,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     _loaded_by(["build", "--U", "2", "--V", "2", "--T", "1", "--q", "5", "--out", "e.json"],
                tmp_path)
     exact = _loaded_by(["audit", "--scheme", "e.json", "--exact"], tmp_path)
-    for loaded in (built, rated, simulated, audited, exact):
+    for loaded in (built, rated, grid, simulated, audited, exact):
         assert unused & loaded == set()
 
 
