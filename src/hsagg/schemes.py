@@ -89,13 +89,7 @@ class SchemeParams(namedtuple("SchemeParams", "cfg gamma")):
     __slots__ = ()
 
 
-class CoefficientScheme(
-    namedtuple(
-        "CoefficientScheme",
-        "params H row_index kind insecure_by_construction",
-        defaults=(False,),
-    )
-):
+class CoefficientScheme(namedtuple("CoefficientScheme", "params H row_index kind")):
     """A coefficient matrix H (an FqMatrix) plus the user -> row assignment
     ``row_index``, a dict from (u, v) to a row of H."""
 
@@ -104,6 +98,10 @@ class CoefficientScheme(
     @property
     def cfg(self) -> HsaConfig:
         return self.params.cfg
+
+    @property
+    def insecure_by_construction(self) -> bool:  # T >= (U-1)V: no scheme is secure
+        return not self.cfg.feasible
 
     @property
     def field(self) -> FieldSpec:
@@ -121,9 +119,7 @@ class CoefficientScheme(
         vandermonde = self.kind == KIND_EXTENDED_VANDERMONDE
         nodes = build_elements(gamma, cfg.n_users - 1, self.field) if vandermonde else ()
         obj = {
-            "U": cfg.U,
-            "V": cfg.V,
-            "T": cfg.T,
+            **cfg._asdict(),
             "q": self.field.q,
             "gamma": gamma,
             "kind": self.kind,
@@ -373,19 +369,16 @@ def build_baseline(
     """Naive per-user keying: identity block plus an all-(-1) parity row.
 
     Uses UV - 1 source symbols.  With force_infeasible an out-of-region
-    configuration is still materialized (for attack demos) and the scheme is
-    labelled insecure_by_construction.
+    configuration is still materialized (for attack demos); such a scheme
+    is insecure_by_construction.
     """
-    infeasible = not cfg.feasible
-    if infeasible and not force_infeasible:
+    if not (cfg.feasible or force_infeasible):
         raise InfeasibleConfiguration(cfg.U, cfg.V, cfg.T)
     # Any prime works for this construction; default to the smallest odd one.
     field = FieldSpec.for_prime(_first_prime(q_hint, 3))
     H = _baseline_matrix(field, cfg.n_users)
     row_index = {user: i for i, user in enumerate(cfg.users())}
-    return CoefficientScheme(
-        SchemeParams(cfg, None), H, row_index, KIND_BASELINE, insecure_by_construction=infeasible
-    )
+    return CoefficientScheme(SchemeParams(cfg, None), H, row_index, KIND_BASELINE)
 
 
 def derive_keys(scheme: CoefficientScheme, source) -> KeyMaterial:
@@ -425,9 +418,9 @@ def _require_zero_row_sum(H: FqMatrix) -> None:
 def import_scheme(obj: dict) -> CoefficientScheme:
     """Validate a scheme document and return the in-memory scheme.
 
-    Structural problems raise SchemeFormatError; a matrix whose rows do not
-    sum to zero can never reproduce the input sum and raises
-    CorrectnessViolation.
+    Structural problems, and an insecure_by_construction flag that disagrees
+    with (U, V, T), raise SchemeFormatError; a matrix whose rows do not sum
+    to zero can never reproduce the input sum and raises CorrectnessViolation.
     """
     if not isinstance(obj, dict):
         raise SchemeFormatError("scheme document must be a JSON object")
@@ -507,12 +500,15 @@ def import_scheme(obj: dict) -> CoefficientScheme:
         if row_index != {user: i for i, user in enumerate(cfg.users())}:
             raise SchemeFormatError("baseline schemes use the natural row order")
 
-    insecure = obj.get("insecure_by_construction", False)
+    insecure = obj.get("insecure_by_construction", not cfg.feasible)
     if type(insecure) is not bool:
         raise SchemeFormatError("insecure_by_construction must be a JSON boolean")
-    return CoefficientScheme(
-        SchemeParams(cfg, gamma), H, row_index, kind, insecure_by_construction=insecure
-    )
+    if insecure == cfg.feasible:
+        raise SchemeFormatError(
+            f"insecure_by_construction is {json.dumps(insecure)}, but (U, V, T) = {tuple(cfg)} "
+            f"is {'feasible' if cfg.feasible else 'infeasible'}"
+        )
+    return CoefficientScheme(SchemeParams(cfg, gamma), H, row_index, kind)
 
 
 def scheme_to_json(scheme: CoefficientScheme, pretty: bool = False) -> str:

@@ -490,11 +490,7 @@ def audit(scheme: CoefficientScheme, budget: int = DEFAULT_RANK_BUDGET) -> Audit
 
 
 class IndependenceVerdict(
-    namedtuple(
-        "IndependenceVerdict",
-        "passed relay collusion tuples_enumerated witness",
-        defaults=(None,),
-    )
+    namedtuple("IndependenceVerdict", "relay collusion tuples_enumerated witness", defaults=(None,))
 ):
     """One exact oracle check: ``relay`` is the relay id, None for the
     server; ``tuples_enumerated`` is q^(UV + n), the number of (w, N) tuples
@@ -503,6 +499,10 @@ class IndependenceVerdict(
     for its rank r (see the module docstring), and None otherwise."""
 
     __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json_obj(self) -> dict:
         return {
@@ -546,14 +546,14 @@ def exact_independence_check(
     r_abc, r_ac, r_bc = m + len(_span(rows, q)), r_c + added, m + len(colluders)
     tuples = q ** (m + scheme.n_source)
     if r_ac + r_bc == r_abc + r_c:
-        return IndependenceVerdict(True, relay, tset, tuples)
+        return IndependenceVerdict(relay, tset, tuples)
     cell = (
         ((0,) if relay is None else ()) + ((0, 0),) * k,  # sum, then (w, z) per colluder
         (0,) * (scheme.cfg.U if relay is None else scheme.cfg.V),  # one value per message
         (0,) * m,
     )
     counts = tuple(tuples // q ** r for r in (r_abc, r_c, r_ac, r_bc))  # N_abc, N_c, N_ac, N_bc
-    return IndependenceVerdict(False, relay, tset, tuples, witness=cell + counts)
+    return IndependenceVerdict(relay, tset, tuples, cell + counts)
 
 
 # Each verdict writes q^(UV + n) out in full, and Python 3.11 and later write

@@ -101,8 +101,8 @@ def _reference_exact_check(scheme, tset, relay=None) -> IndependenceVerdict:
             for b in b_support[c]:
                 cell = (c, a, b, n_abc.get((a, b, c), 0), count_c, n_ac[(a, c)], n_bc[(b, c)])
                 if cell[3] * count_c != cell[5] * cell[6]:
-                    return IndependenceVerdict(False, relay, tset, total, witness=cell)
-    return IndependenceVerdict(True, relay, tset, total)
+                    return IndependenceVerdict(relay, tset, total, cell)
+    return IndependenceVerdict(relay, tset, total)
 
 
 def big_space_verdict(scheme, tset, relay=None) -> IndependenceVerdict:
@@ -138,14 +138,14 @@ def big_space_verdict(scheme, tset, relay=None) -> IndependenceVerdict:
     ranks = r_abc, r_c, r_ac, r_bc = rank(a, w, c), rank(c), rank(a, c), rank(w, c)
     tuples = q ** dim
     if r_ac + r_bc == r_abc + r_c:
-        return IndependenceVerdict(True, relay, tset, tuples)
+        return IndependenceVerdict(relay, tset, tuples)
     cell = (
         ((0,) if relay is None else ()) + ((0, 0),) * len(tset),
         (0,) * len(a),
         (0,) * m,
     )
     counts = tuple(q ** (dim - r) for r in ranks)  # N_abc, N_c, N_ac, N_bc
-    return IndependenceVerdict(False, relay, tset, tuples, witness=cell + counts)
+    return IndependenceVerdict(relay, tset, tuples, cell + counts)
 
 
 def _reference_run_round(scheme, inputs, keys):

@@ -120,13 +120,23 @@ def test_rates_grid_over_the_row_limit_exit_6(tmp_path, capsys, shape):
 
 
 def test_rates_grid_at_the_row_limit_runs(monkeypatch, capsys):
-    # 10^6 rows reach the table, one more row does not
-    listed = []
-    monkeypatch.setattr(cli.rates, "rate_table", lambda *spans: listed.append(spans) or [])
+    # 10^6 rows are listed, one more row is refused by the table before any
+    # is; each row is stubbed empty, so the run stays cheap
+    listed, rate_table = [], cli.rates.rate_table
+
+    def table(*spans):
+        rows = rate_table(*spans)
+        listed.append(spans)
+        return rows
+
+    monkeypatch.setattr(cli.rates, "optimal_rates", lambda cfg: ())
+    monkeypatch.setattr(cli.rates, "rate_table", table)
     assert run_cli("rates", "--U", "2..1001", "--V", "1..1000", "--T", "0") == 0
     assert listed == [(range(2, 1002), range(1, 1001), range(0, 1))]
+    assert capsys.readouterr().out.count("\n") == 1 + 10**6
     assert run_cli("rates", "--U", "2..1000002", "--V", "1", "--T", "0") == 6
     assert len(listed) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_rates_json_and_file(tmp_path, capsys):
@@ -178,6 +188,20 @@ def test_build_force_infeasible_labels_scheme(tmp_path):
     ) == 0
     obj = json.loads(out.read_text())
     assert obj["insecure_by_construction"] is True
+
+
+@pytest.mark.parametrize("shape, declared", [((2, 2, 1), True), ((2, 2, 2), False)])
+def test_audit_refuses_a_contradicting_insecure_label_exit_4(tmp_path, capsys, shape, declared):
+    # the label is decided by (U, V, T); a file that disagrees is corrupt
+    path = tmp_path / "baseline.json"
+    cfg = HsaConfig(*shape)
+    obj = json.loads(scheme_to_json(build_baseline(cfg, force_infeasible=True)))
+    obj["insecure_by_construction"] = declared
+    path.write_text(json.dumps(obj))
+    assert run_cli("audit", "--scheme", str(path)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: insecure_by_construction is ")
 
 
 def test_build_import_round_trip_is_byte_stable(tmp_path):

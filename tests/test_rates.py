@@ -2,7 +2,7 @@
 
 import pytest
 
-from hsagg.errors import ConfigurationError, InfeasibleConfiguration
+from hsagg.errors import AuditBudgetExceeded, ConfigurationError, InfeasibleConfiguration
 from hsagg.rates import (
     HsaConfig,
     active_branch,
@@ -123,6 +123,16 @@ def test_rate_table_csv_format():
 def test_rate_table_rejects_empty_ranges():
     with pytest.raises(ConfigurationError):
         rate_table([], [1], [0])
+
+
+def test_rate_table_refuses_a_grid_before_listing_it():
+    # an empty range beside one longer than sys.maxsize, then a grid past the row limit
+    with pytest.raises(ConfigurationError, match="^rate table ranges must be nonempty$"):
+        rate_table(range(2, 10**30), [], [0])
+    with pytest.raises(AuditBudgetExceeded, match="^rate grid has more than the limit of "):
+        rate_table(range(2, 10**30), [1], [0])
+    with pytest.raises(AuditBudgetExceeded):
+        rate_table(range(2, 1002), range(1, 1001), [0, 1])
 
 
 def _external_single_column(cfg: HsaConfig, q: int, column: list[int]) -> CoefficientScheme:

@@ -76,7 +76,10 @@ def test_config_validates_with_configuration_error(args, message):
         (TSET, "members"),
         (RankViolation(None, TSET, 0, 1), "observed_rank"),
         (AuditReport(3, ()), "violations"),
-        (IndependenceVerdict(True, 1, TSET, 25), "witness"),
+        (IndependenceVerdict(1, TSET, 25), "witness"),
+        (IndependenceVerdict(1, TSET, 25), "passed"),
+        (CoefficientScheme(SchemeParams(CFG, None), H, {(1, 1): 0, (2, 1): 1}, "external"),
+         "insecure_by_construction"),
     ],
 )
 def test_fields_cannot_be_assigned(record, name):
@@ -103,7 +106,20 @@ def test_records_keep_their_repr_and_value_equality():
     assert hash(HsaConfig(4, 3, 4)) == hash(HsaConfig(4, 3, 4))
     assert pickle.loads(pickle.dumps(H)) == H
     assert RoundInputs({}, 2).seed is None
-    assert IndependenceVerdict(True, None, TSET, 1).witness is None
+    assert IndependenceVerdict(None, TSET, 1).witness is None
+
+
+def test_derived_facts_are_not_fields():
+    # each is decided from the other fields, so no record can contradict it
+    assert CoefficientScheme._fields == ("params", "H", "row_index", "kind")
+    assert IndependenceVerdict._fields == ("relay", "collusion", "tuples_enumerated", "witness")
+    assert IndependenceVerdict(None, TSET, 1).passed is True
+    failing = IndependenceVerdict(None, TSET, 1, ((0,), (0,), (0,), 1, 1, 1, 1))
+    assert failing.passed is False and failing.to_json_obj()["passed"] is False
+    rows = {(1, 1): 0, (2, 1): 1}
+    for cfg, insecure in (((2, 1, 0), False), ((2, 1, 1), True)):
+        scheme = CoefficientScheme(SchemeParams(HsaConfig(*cfg), None), H, rows, "external")
+        assert scheme.insecure_by_construction is insecure
 
 
 @pytest.mark.parametrize("cfg", [(3, 2, 1), (2, 2, 2)])

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import sys
 from math import comb
 
@@ -419,6 +420,40 @@ def test_baseline_rejects_infeasible_unless_forced():
     forced = build_baseline(cfg, force_infeasible=True)
     assert forced.insecure_by_construction
     assert not any(forced.H.column_sums())
+
+
+def _baseline_obj(U, V, T) -> dict:
+    return json.loads(scheme_to_json(build_baseline(HsaConfig(U, V, T), force_infeasible=True)))
+
+
+def test_insecure_label_follows_the_configuration():
+    # T >= (U-1)V decides the label; a document without the key takes it from there
+    feasible, forced = _baseline_obj(2, 2, 1), _baseline_obj(2, 2, 2)
+    assert "insecure_by_construction" not in feasible
+    assert forced["insecure_by_construction"] is True
+    assert not import_scheme(feasible).insecure_by_construction
+    assert import_scheme(forced).insecure_by_construction
+    del forced["insecure_by_construction"]
+    scheme = import_scheme(forced)
+    assert scheme.insecure_by_construction
+    assert json.loads(scheme_to_json(scheme))["insecure_by_construction"] is True
+    agreeing = _baseline_obj(2, 2, 1)
+    agreeing["insecure_by_construction"] = False
+    assert import_scheme(agreeing) == import_scheme(feasible)
+
+
+@pytest.mark.parametrize("shape, declared, message", [
+    ((2, 2, 1), True, "insecure_by_construction is true, but (U, V, T) = (2, 2, 1) is feasible"),
+    ((2, 2, 2), False,
+     "insecure_by_construction is false, but (U, V, T) = (2, 2, 2) is infeasible"),
+])
+def test_import_refuses_an_insecure_label_that_contradicts_the_configuration(
+    shape, declared, message
+):
+    obj = _baseline_obj(*shape)
+    obj["insecure_by_construction"] = declared
+    with pytest.raises(SchemeFormatError, match=f"^{re.escape(message)}$"):
+        import_scheme(obj)
 
 
 # ---------------------------------------------------------------------------
